@@ -98,15 +98,19 @@ class HittingSetApsp:
                 col[a] = 0.0
         return row, col
 
+    def _stitch(self, i: int, j: int):
+        """(short distance, stitched lengths over H x H or None, their min)."""
+        short = self._short_dist(i, j)
+        if not self.H:
+            return short, None, short
+        row, col = self._stitch_terms(i, j)
+        cand = row[:, None] + self.fw_dist + col[None, :]
+        return short, cand, min(short, float(cand.min()))
+
     def exact_dist(self, i: int, j: int) -> float:
         if i == j:
             return 0.0
-        best = self._short_dist(i, j)
-        if self.H:
-            row, col = self._stitch_terms(i, j)
-            cand = row[:, None] + self.fw_dist + col[None, :]
-            best = min(best, float(cand.min()))
-        return best
+        return self._stitch(i, j)[2]
 
     def exact_dist_matrix(self) -> np.ndarray:
         """All-pairs distances at once (the acceptance-audit fast path)."""
@@ -123,20 +127,17 @@ class HittingSetApsp:
             mid[q] = (self.fw_dist[:, q][:, None] + from_h).min(axis=0)
         out = short.copy()
         for p in range(h):                 # min-plus to_h x mid
-            np.minimum(out, to_h[:, p][:, None] + mid[p][None, :], out)
+            np.minimum(out, to_h[:, p][:, None] + mid[p][None, :], out=out)
         return out
 
     def exact_path(self, i: int, j: int) -> list[int]:
         if i == j:
             return [i]
-        total = self.exact_dist(i, j)
+        short, cand, total = self._stitch(i, j)
         if total == INF:
             raise ValueError(f"({i}, {j}) disconnected")
-        short = self._short_dist(i, j)
         if short == total:
             return self.pr.pr_path(i, j)
-        row, col = self._stitch_terms(i, j)
-        cand = row[:, None] + self.fw_dist + col[None, :]
         hits = np.argwhere(cand == total)
         p, q = min((int(a), int(b)) for a, b in hits)  # deterministic tie-break
         waypoints = [p]

@@ -550,6 +550,9 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if getattr(args, "D", 1) < 1:
+        print(f"error: --D must be at least 1, got {args.D}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (ParamDomain, FileNotFoundError, ValueError) as exc:

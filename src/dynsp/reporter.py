@@ -1,28 +1,32 @@
 """Distance queries, successor extraction, and short-path reporting.
 
 Distances up to D are read off the min-degree of maintained inverse
-entries.  Successors come from witness sums: for a copy with column
-mask S, the value sum_{s in S, (i,s) edge} rho_is * M^-1[s, j] has
-min-degree d-1 exactly when S contains a shortest-path successor of i
-towards j (rho_is are fixed random field constants, so accidental
-cancellation has probability ~1/p).  Bit-level masks recover the
-successor index; column samples of every power-of-two size sparsify
-the witness set when there are many successors.
+entries: the min-degree of M^-1[i, j] is the distance from i to j when
+it is at most D, and it never undercuts that distance.  Paths come from
+one column: column j of M^-1 holds every vertex's min-degree towards
+j, so a path from i steps, hop by hop, to the smallest-index neighbour
+whose min-degree is one less.  Only j has min-degree 0, so every such
+walk uses present edges, ends at j and has the length pr_dist reports;
+a randomness failure that overstates a neighbour's min-degree surfaces
+as NoWitnessFound, never as a wrong path.
 
-The copies are never materialized as separate product states: every
-copy is defined by (current edge set, static column mask, rho table),
-so all copy values for one (i, j) query reduce to a single masked
-matrix product over the witness vector.  This is algebraically the
-same E*M^-1 = V(I+N) invariant the explicit product module maintains
-(the tests cross-check the two), just evaluated lazily, which keeps
-thousands of copies affordable.
-
-Candidates are always verified against the graph and a distance query,
-so randomness failures surface as NoWitnessFound, never wrong answers.
+The paper finds each successor through witness sums instead, because
+it counts entry reads as the costly resource: for a copy with column
+mask S, sum_{s in S, (i,s) edge} rho_is * M^-1[s, j] has min-degree d-1
+exactly when S contains a shortest-path successor of i towards j (rho_is
+are fixed random field constants, so accidental cancellation has
+probability ~1/p).  With numpy a whole column costs about as much as a
+handful of entries, so the walk is cheaper.  The witness sums remain as
+copy_values and bitcopy_E: every copy is defined by (current edge set,
+static column mask, rho table), so all copy values for one (i, j) reduce
+to a single masked matrix product over the witness vector, the same
+E*M^-1 = V(I+N) invariant the explicit product module maintains, and the
+tests cross-check the two.
 """
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -51,14 +55,14 @@ BEYOND = _Beyond()
 
 
 class NoWitnessFound(RuntimeError):
-    """No successor candidate verified; a low-probability randomness failure.
+    """No neighbour is one min-degree closer; a low-probability randomness failure.
 
     Recovery path: rebuild the reporter with a fresh seed (fixed
     randomness means an identical retry would fail identically).
     """
 
     def __init__(self, i: int, j: int, seed: int) -> None:
-        super().__init__(f"no verified successor for ({i}, {j}); seed {seed}")
+        super().__init__(f"no successor found for ({i}, {j}); seed {seed}")
         self.pair = (i, j)
         self.seed = seed
 
@@ -81,12 +85,11 @@ class PathReporter:
         n = g.n
         self.L = max(1, math.ceil(math.log2(n))) if n > 1 else 1
         self.reps = reps if reps is not None else 3 * self.L
-        self._rho = self._build_rho()
-        self.copy_masks, self._groups = self._build_masks()
 
-    # ---- construction -----------------------------------------------------
+    # ---- witness copies (built on first use) -------------------------------
 
-    def _build_rho(self) -> np.ndarray:
+    @cached_property
+    def _rho(self) -> np.ndarray:
         n, p = self.g.n, self.params.p
         rho = np.empty((n, n), dtype=np.uint64)
         for i in range(n):
@@ -94,25 +97,22 @@ class PathReporter:
                 rho[i, j] = rand_unit(p, self.params.rng_seed, 0x57, i * n + j)
         return rho
 
-    def _build_masks(self):
+    @cached_property
+    def copy_masks(self) -> np.ndarray:
         """Stack of column masks: global bit copies, then sampled groups."""
         n, L = self.g.n, self.L
         cols = np.arange(n)
         bit_masks = np.stack([(cols >> l) & 1 == 1 for l in range(L)])
-        groups = [(0, None, None)]  # (offset, w, rep); None marks the full set
         stacks = [bit_masks]
-        offset = L
         rng = np.random.default_rng(self.params.rng_seed ^ 0xA5A5A5A5)
         for w in range(L):
             size = min(1 << w, n)
-            for rep in range(self.reps):
+            for _rep in range(self.reps):
                 sample = rng.choice(n, size=size, replace=False)
                 base = np.zeros(n, dtype=bool)
                 base[sample] = True
                 stacks.append(bit_masks & base)
-                groups.append((offset, w, rep))
-                offset += L
-        return np.concatenate(stacks, axis=0), groups
+        return np.concatenate(stacks, axis=0)
 
     def bitcopy_E(self, copy_index: int) -> np.ndarray:
         """The explicit E matrix of one copy (test hook, small n only)."""
@@ -151,13 +151,10 @@ class PathReporter:
 
     # ---- queries -----------------------------------------------------------
 
-    def _entry_min_degree(self, i: int, j: int) -> int:
-        return int(min_degree_arr(self.host._query_raw(i, j)))
-
     def pr_dist(self, i: int, j: int):
         if i == j:
             return 0
-        d = self._entry_min_degree(i, j)
+        d = int(min_degree_arr(self.host._query_raw(i, j)))
         return d if d <= self.D else BEYOND
 
     def dist_matrix(self) -> np.ndarray:
@@ -178,42 +175,29 @@ class PathReporter:
         sel = self.copy_masks[:, nbrs].astype(np.uint64)
         return mat_mul_mod(sel, q, p)
 
-    def pr_successor(self, i: int, j: int) -> int:
-        d = self.pr_dist(i, j)
-        if d is BEYOND or d == 0:
-            raise ValueError(f"pr_successor needs 1 <= dist <= D, got {d!r}")
-        return self._successor(i, j, d)
+    def _column(self, j: int) -> list[int]:
+        """Min-degrees of column j of M^-1: every vertex's towards j."""
+        return min_degree_arr(self.host.query_col(j)).tolist()
 
-    def _successor(self, i: int, j: int, d: int) -> int:
-        if d == 1:
-            return j
-        mdeg = min_degree_arr(self.copy_values(i, j))
-        hits = mdeg == d - 1
-        n, L = self.g.n, self.L
-        seen: set[int] = set()
-        candidates: list[int] = []
-        for offset, _w, _rep in self._groups:
-            bits = hits[offset : offset + L]
-            for cand in (
-                sum(1 << l for l in range(L) if bits[l]),
-                sum(1 << l for l in range(L) if not bits[l]),  # complement guard
-            ):
-                if cand < n and cand not in seen:
-                    seen.add(cand)
-                    candidates.append(cand)
-        for s in candidates:
-            if s in self.g.adj[i] and self._entry_min_degree(s, j) == d - 1:
+    def _step(self, col: list[int], i: int, j: int) -> int:
+        """Smallest-index neighbour of i whose min-degree is one less."""
+        want = col[i] - 1
+        for s in sorted(self.g.adj[i]):
+            if col[s] == want:
                 return s
         raise NoWitnessFound(i, j, self.params.rng_seed)
 
+    def pr_successor(self, i: int, j: int) -> int:
+        col = self._column(j)
+        if not 1 <= col[i] <= self.D:
+            raise ValueError(f"pr_successor needs 1 <= dist <= D for ({i}, {j})")
+        return self._step(col, i, j)
+
     def pr_path(self, i: int, j: int) -> list[int]:
-        d = self.pr_dist(i, j)
-        if d is BEYOND:
+        col = self._column(j)
+        if col[i] > self.D:
             raise ValueError(f"pr_path needs dist <= D for ({i}, {j})")
         path = [i]
-        cur = i
-        while d > 0:
-            cur = self._successor(cur, j, d)
-            path.append(cur)
-            d -= 1
+        while path[-1] != j:
+            path.append(self._step(col, path[-1], j))
         return path

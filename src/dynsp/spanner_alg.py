@@ -133,12 +133,14 @@ class AlgSpannerState:
         self.active = self._deactivation_pass(helper_g)
         self.H = set(self.helper)
         for i in range(self.k + 1):
+            thr = self.pair_threshold(i)
+            if thr < 1:
+                continue  # distinct vertices are at distance >= 1 > thr
             members = sorted(
                 v for v in range(n) if self.level[v] == i and self.active[v]
             )
             if len(members) < 2:
                 continue
-            thr = self.pair_threshold(i)
             depth = min(n, math.ceil(thr))
             use_alg = i >= self.gamma
             for a in members:

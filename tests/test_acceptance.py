@@ -293,6 +293,38 @@ def test_04_exact_apsp_matches_bfs_everywhere(name, maker):
     print(f"\nexact apsp [{name}]: {time.time() - t0:.1f}s")
 
 
+def test_04b_sampled_hitting_set_stitches_exact_distances_and_paths():
+    """A hitting set smaller than V: every pair beyond D must be stitched."""
+    t0 = time.time()
+    n, D = 96, 32
+    g = cycle_graph(n)
+    rng = random.Random(43)
+    ap = HittingSetApsp(g.copy(), D=D, kappa=0.529, seed=44)
+    assert len(ap.H) == 55
+    stitched = 0
+    for step, ev in enumerate(mixed_events(g.copy(), rng, 6)):
+        apply_update(g, ev)
+        ap.exact_update(ev)
+        truth = np_all_pairs(g)
+        assert np.array_equal(ap.exact_dist_matrix(), truth), step
+        far = [(int(i), int(j)) for i, j in np.argwhere((truth > D) & (truth < INF))]
+        pairs = rng.sample(far, min(10, len(far)))
+        pairs += [tuple(rng.sample(range(n), 2)) for _ in range(10)]
+        for i, j in pairs:
+            assert ap.exact_dist(i, j) == truth[i, j], (step, i, j)
+            if truth[i, j] == INF:
+                with pytest.raises(ValueError):
+                    ap.exact_path(i, j)
+                continue
+            p = ap.exact_path(i, j)
+            assert p[0] == i and p[-1] == j
+            assert len(p) - 1 == truth[i, j]
+            assert validate_path(g, p)
+            stitched += truth[i, j] > D
+    assert stitched >= 30  # the regime under test: pairs beyond D
+    print(f"\nexact apsp [sampled H]: {time.time() - t0:.1f}s")
+
+
 # ---- combinatorial spanner -------------------------------------------------
 
 

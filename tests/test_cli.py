@@ -166,6 +166,16 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["run", "verify", "bench"])
+@pytest.mark.parametrize("D", ["0", "-1"])
+def test_degree_bound_below_one_is_a_usage_error(tmp_path, capsys, command, D):
+    script = gen_random(tmp_path)
+    argv = [command, "--structure", "exact-apsp", "--script", str(script), "--D", D]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --D must be at least 1, got {D}\n"
+
+
 def test_structures_tuple_is_stable():
     assert STRUCTURES == (
         "exact-apsp",

@@ -88,6 +88,40 @@ def test_successor_decreases_distance():
             assert truth[s][j] == d - 1
 
 
+def test_successor_is_the_smallest_index_closer_neighbour():
+    ties = 0
+    for pr, _ in drive(12, 5, seed=7, steps=35):
+        truth = all_pairs_dist(pr.g)
+        for i in range(12):
+            for j in range(12):
+                d = truth[i][j]
+                if not 1 <= d <= 5:
+                    continue
+                closer = [s for s in pr.g.adj[i] if truth[s][j] == d - 1]
+                ties += len(closer) > 1
+                assert pr.pr_successor(i, j) == min(closer), (i, j)
+    assert ties > 0
+
+
+def test_overstated_neighbour_raises_no_witness(monkeypatch):
+    g = DynamicGraph(5)
+    for u, v in ((0, 1), (1, 2), (2, 3), (0, 4)):
+        g.insert_edge(u, v)
+    pr = PathReporter(g, 4, seed=8)
+    assert pr.pr_path(0, 3) == [0, 1, 2, 3]
+    real_col = pr.host.query_col
+
+    def overstated(j, rows=None):
+        col = real_col(j, rows)
+        col[1] = np.concatenate([[0], col[1][:-1]])  # times u: min-degree + 1
+        return col
+
+    monkeypatch.setattr(pr.host, "query_col", overstated)
+    with pytest.raises(NoWitnessFound) as err:
+        pr.pr_path(0, 3)
+    assert err.value.pair == (0, 3)
+
+
 def test_successor_rejects_out_of_range_queries():
     g = DynamicGraph(4)
     g.insert_edge(0, 1)
