@@ -29,17 +29,11 @@ class NonUnitPivot(RuntimeError):
     """1 + b_i failed to be a unit; impossible for legal edge updates."""
 
 
-def _sum_mod(arr: np.ndarray, axis: int, p: int) -> np.ndarray:
-    """Exact modular sum along one axis (object-free, fold in uint64)."""
-    out = None
-    for idx in range(arr.shape[axis]):
-        sl = np.take(arr, idx, axis=axis)
-        out = sl.copy() if out is None else add_mod(out, sl, p)
-    if out is None:
-        shape = list(arr.shape)
-        del shape[axis]
-        out = np.zeros(shape, dtype=np.uint64)
-    return out
+def _take(arr: np.ndarray, rows, cols) -> np.ndarray:
+    """arr[rows][:, cols] for index lists, where None selects everything."""
+    if rows is None:
+        return arr if cols is None else arr[:, cols]
+    return arr[rows] if cols is None else arr[np.ix_(rows, cols)]
 
 
 class SubmatrixView:
@@ -61,7 +55,7 @@ class SubmatrixView:
     def _apply(self, col_h: np.ndarray, bprime_h: np.ndarray) -> None:
         if not self.H:
             return
-        corr = conv_trunc(col_h[:, None, :], bprime_h[None, :, :], self.host.p)
+        corr = poly_mat_mul(col_h[:, None, :], bprime_h[None, :, :], self.host.p)
         self.cached = add_mod(self.cached, corr, self.host.p)
 
 
@@ -111,45 +105,33 @@ class InverseState:
     def query(self, i: int, j: int) -> TruncPoly:
         return TruncPoly(self.p, self._query_raw(i, j))
 
+    def _block(self, rows, cols) -> np.ndarray:
+        """M^-1[rows, cols] = T[rows, cols] + T[rows, nrows] N[nrows, cols].
+
+        rows and cols are index lists, or None for all of them.
+        """
+        out = _take(self.T, rows, cols)
+        if not self.nrows:
+            return out.copy()
+        extra = poly_mat_mul(
+            _take(self.T, rows, self.nrows), _take(self.N, self.nrows, cols), self.p
+        )
+        return add_mod(out, extra, self.p)
+
     def _query_raw(self, i: int, j: int) -> np.ndarray:
-        out = self.T[i, j].copy()
-        if self.nrows:
-            dots = conv_trunc(self.T[i, self.nrows], self.N[self.nrows, j], self.p)
-            out = add_mod(out, _sum_mod(dots, 0, self.p), self.p)
-        return out
+        return self._block([i], [j])[0, 0]
 
     def query_rows(self, rows) -> np.ndarray:
         """M^-1 restricted to the given rows, as a (len(rows), n, D+1) array."""
-        rows = list(rows)
-        out = self.T[rows].copy()
-        if self.nrows:
-            extra = poly_mat_mul(
-                self.T[np.ix_(rows, self.nrows)], self.N[self.nrows], self.p
-            )
-            out = add_mod(out, extra, self.p)
-        return out
+        return self._block(list(rows), None)
 
     def query_col(self, j: int, rows=None) -> np.ndarray:
         """Column j of M^-1, optionally restricted to the given rows."""
-        rows = range(self.n) if rows is None else list(rows)
-        rows = list(rows)
-        out = self.T[rows, j].copy()
-        if self.nrows:
-            dots = conv_trunc(
-                self.T[np.ix_(rows, self.nrows)],
-                self.N[self.nrows, j][None, :, :],
-                self.p,
-            )
-            out = add_mod(out, _sum_mod(dots, 1, self.p), self.p)
-        return out
+        return self._block(None if rows is None else list(rows), [j])[:, 0]
 
     def query_full(self) -> np.ndarray:
         """The entire maintained inverse T(I+N), densely."""
-        out = self.T.copy()
-        if self.nrows:
-            extra = poly_mat_mul(self.T[:, self.nrows], self.N[self.nrows], self.p)
-            out = add_mod(out, extra, self.p)
-        return out
+        return self._block(None, None)
 
     def det_poly(self) -> TruncPoly:
         return TruncPoly(self.p, self.det.copy())
@@ -164,20 +146,14 @@ class InverseState:
         p = self.p
         dv = np.asarray(dv, dtype=np.uint64)
         v = neg_mod(dv, p)  # change to M = I - A
-        # b = v * (row j of T(I+N))
-        rowj = self.T[j].copy()
-        if self.nrows:
-            dots = conv_trunc(
-                self.T[j, self.nrows][:, None, :], self.N[self.nrows], p
-            )
-            rowj = add_mod(rowj, _sum_mod(dots, 0, p), p)
-        b = conv_trunc(v[None, :], rowj, p)
-        one_plus_bi = b[i].copy()
+        # b = v * (row j of T(I+N)), as (1, n, D+1)
+        b = poly_mat_mul(v[None, None, :], self._block([j], None), p)
+        one_plus_bi = b[0, i].copy()
         if one_plus_bi[0] != 0:
             raise NonUnitPivot("update with nonzero constant coefficient")
         one_plus_bi[0] = 1
         inv_pivot = poly_inv(TruncPoly(p, one_plus_bi)).coeffs
-        bprime = neg_mod(conv_trunc(b, inv_pivot[None, :], p), p)
+        bprime = neg_mod(poly_mat_mul(inv_pivot[None, None, :], b, p)[0], p)
         # submatrix views see the rank-one correction against the OLD inverse
         for view in self._views:
             if view.H:
@@ -192,7 +168,7 @@ class InverseState:
         vec[ii, 0] = (int(vec[ii, 0]) + 1) % p
         self.N[affected] = add_mod(
             self.N[affected],
-            conv_trunc(vec[:, None, :], bprime[None, :, :], p),
+            poly_mat_mul(vec[:, None, :], bprime[None, :, :], p),
             p,
         )
         self.nrows = affected

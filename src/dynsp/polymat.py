@@ -90,19 +90,6 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(a.p, poly_mat_mul(a.data, b.data, a.p))
 
 
-def mat_mul_row_sparse(a: PolyMatrix, b: PolyMatrix, nonzero_rows) -> PolyMatrix:
-    """mat_mul touching only the declared nonzero rows of b; bit-identical."""
-    if a.p != b.p or a.D != b.D:
-        raise DimMismatch("ring parameters differ")
-    if a.cols != b.rows:
-        raise DimMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    rows = sorted(set(nonzero_rows))
-    out = np.zeros((a.rows, b.cols, a.D + 1), dtype=np.uint64)
-    if rows:
-        out[:] = poly_mat_mul(a.data[:, rows, :], b.data[rows, :, :], a.p)
-    return PolyMatrix(a.p, out)
-
-
 def mat_add(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     if a.p != b.p or a.data.shape != b.data.shape:
         raise DimMismatch("incompatible matrices")
@@ -120,7 +107,7 @@ def series_inverse(a: PolyMatrix) -> PolyMatrix:
     total = add_mod(ident, a.data, p)           # I + A
     power = a.data                              # A^(2^i)
     span = 2                                    # covers all A^j with j < span
-    while span < dp1:
+    while span < dp1 and power.any():
         power = poly_mat_mul(power, power, p)
         if not power.any():
             break

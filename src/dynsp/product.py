@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import add_mod, conv_trunc, poly_mat_mul, sub_mod
-from .inverse import InverseState, _sum_mod
+from .inverse import InverseState
 from .ring import TruncPoly
 
 
@@ -73,6 +73,8 @@ class ProductState:
         host = self.host
         out = self.V[i, j].copy()
         if host.nrows:
-            dots = conv_trunc(self.V[i, host.nrows], host.N[host.nrows, j], host.p)
-            out = add_mod(out, _sum_mod(dots, 0, host.p), host.p)
+            extra = poly_mat_mul(
+                self.V[i, host.nrows][None], host.N[host.nrows, j][:, None], host.p
+            )
+            out = add_mod(out, extra[0, 0], host.p)
         return TruncPoly(host.p, out)

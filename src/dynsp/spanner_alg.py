@@ -23,11 +23,10 @@ import math
 from collections import deque
 from fractions import Fraction
 
-import numpy as np
-
 from ._kernels import derive_seed
 from .graph import DynamicGraph, apply_update, bfs_dist_bounded
 from .reporter import BEYOND, NoWitnessFound, PathReporter
+from .spanner_comb import sample_levels
 
 
 def greedy_spanner(g: DynamicGraph, stretch: int) -> set[tuple[int, int]]:
@@ -82,8 +81,13 @@ class AlgSpannerState:
     # ---- (re)initialization -----------------------------------------------
 
     def _init_everything(self) -> None:
+        self._resample()
+        self._rebuild()
+
+    def _resample(self) -> None:
+        """Fresh levels and path core, seeded by the number of re-inits."""
         run = len(self.reinit_events)
-        self.level = self._sample_levels(derive_seed(self.seed, 0x6A, run))
+        self.level = sample_levels(self.g.n, self.k, derive_seed(self.seed, 0x6A, run))
         self.alg = PathReporter(
             self.g.copy(),
             self.depth,
@@ -91,24 +95,6 @@ class AlgSpannerState:
             derive_seed(self.seed, 0x6B, run),
             reps=3,
         )
-        self._rebuild()
-
-    def _sample_levels(self, seed: int) -> list[int]:
-        """level[v] = max i with v in A_i; nested subsampling, A_{k+1} empty."""
-        n = self.g.n
-        rng = np.random.default_rng(seed)
-        level = [0] * n
-        prev_prob = 1.0
-        alive = list(range(n))
-        for i in range(1, self.k + 1):
-            prob = min(1.0, n ** (-i / self.k) * math.log(n)) if n > 1 else 1.0
-            keep_p = prob / prev_prob if prev_prob > 0 else 0.0
-            coins = rng.random(len(alive))
-            alive = [v for v, c in zip(alive, coins) if c < keep_p]
-            for v in alive:
-                level[v] = i
-            prev_prob = prob
-        return level
 
     # ---- thresholds --------------------------------------------------------
 
@@ -124,6 +110,18 @@ class AlgSpannerState:
     # ---- per-update rebuild ------------------------------------------------
 
     def _rebuild(self) -> None:
+        """Build H; when it outgrows reinit_threshold, re-initialise once.
+
+        One re-init per call: when H is mostly the greedy helper, which
+        no resampling shrinks, H may stay above the threshold after it.
+        """
+        self._build_spanner()
+        if len(self.H) > self.reinit_threshold:
+            self.reinit_events.append(self.update_count)
+            self._resample()
+            self._build_spanner()
+
+    def _build_spanner(self) -> None:
         g = self.g
         n = g.n
         self.helper = greedy_spanner(g, self.helper_stretch)
@@ -161,9 +159,6 @@ class AlgSpannerState:
                         reach = self._bfs_parents(a, depth)
                     if a2 in reach and Fraction(reach[a2][0]) <= thr:
                         self._add_path(self._walk_parents(reach, a2))
-        if len(self.H) > self.reinit_threshold:
-            self.reinit_events.append(self.update_count)
-            self._init_everything()
 
     def _deactivation_pass(self, helper_g: DynamicGraph) -> list[bool]:
         """Descending-level BFS on the helper; exact per-level thresholds."""

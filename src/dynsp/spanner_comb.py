@@ -28,11 +28,34 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from ._kernels import derive_seed
 from .estree import DECREMENTAL, INCREMENTAL, EsTree, ModeViolation
 from .graph import DeleteEdge, DynamicGraph, InsertEdge, apply_update, bfs_dist_bounded
 
 REBUILD = "rebuild"
+
+
+def sample_levels(n: int, k: int, seed: int) -> list[int]:
+    """level[v] = max i with v in A_i; nested subsampling, exact marginals.
+
+    A_0 = V, and A_i keeps each vertex of A_(i-1) with the probability
+    that takes its marginal to min(1, n^(-i/k) ln n); A_(k+1) is empty.
+    """
+    rng = np.random.default_rng(seed)
+    level = [0] * n
+    prev_prob = 1.0
+    alive = list(range(n))
+    for i in range(1, k + 1):
+        prob = min(1.0, n ** (-i / k) * math.log(n)) if n > 1 else 1.0
+        keep_p = prob / prev_prob if prev_prob > 0 else 0.0
+        coins = rng.random(len(alive))
+        alive = [v for v, c in zip(alive, coins) if c < keep_p]
+        for v in alive:
+            level[v] = i
+        prev_prob = prob
+    return level
 
 
 class SpannerState:
@@ -58,7 +81,7 @@ class SpannerState:
         log2n = max(1.0, math.log2(n))
         self.k = k if k is not None else max(1, math.ceil(math.sqrt(log2n)))
         self.seed = seed
-        self.level = self._sample_levels()
+        self.level = sample_levels(n, self.k, derive_seed(self.seed, 0x5E))
         self.beta_certificate = 2 * math.ceil(self.eps_prime ** -(self.k + 1))
         self.active: dict[int, bool] = {}
         self.balls: dict[int, EsTree] = {}
@@ -68,25 +91,6 @@ class SpannerState:
         self._init_active()
 
     # ---- static construction ----------------------------------------------
-
-    def _sample_levels(self) -> list[int]:
-        """level[v] = max i with v in A_i; nested subsampling, exact marginals."""
-        import numpy as np
-
-        n = self.g.n
-        rng = np.random.default_rng(derive_seed(self.seed, 0x5E))
-        level = [0] * n
-        prev_prob = 1.0
-        alive = list(range(n))
-        for i in range(1, self.k + 1):
-            prob = min(1.0, n ** (-i / self.k) * math.log(n)) if n > 1 else 1.0
-            keep_p = prob / prev_prob if prev_prob > 0 else 0.0
-            coins = rng.random(len(alive))
-            alive = [v for v, c in zip(alive, coins) if c < keep_p]
-            for v in alive:
-                level[v] = i
-            prev_prob = prob
-        return level
 
     def radius_for_level(self, i: int) -> int:
         return min(self.g.n, math.ceil(self.eps_prime ** -(i + 1)))

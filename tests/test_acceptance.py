@@ -67,10 +67,11 @@ def np_all_pairs_adj(adj: np.ndarray) -> np.ndarray:
     np.fill_diagonal(dist, 0.0)
     reach = np.eye(n, dtype=bool)
     frontier = reach.copy()
+    weights = adj.astype(np.float64)  # float matmuls run on BLAS, boolean ones do not
     d = 0
     while True:
         d += 1
-        nxt = (frontier @ adj) & ~reach
+        nxt = ((frontier @ weights) > 0) & ~reach
         if not nxt.any():
             break
         dist[nxt] = d

@@ -13,7 +13,6 @@ from dynsp.polymat import (
     encode,
     mat_add,
     mat_mul,
-    mat_mul_row_sparse,
     series_inverse,
 )
 from dynsp.ring import FieldParams, TruncPoly, min_degree, poly_add, poly_mul
@@ -49,15 +48,6 @@ def matrices(draw, rows, cols, D=4):
 @settings(max_examples=25, deadline=None)
 def test_mat_mul_matches_naive(a, b):
     assert mat_mul(a, b) == naive_mat_mul(a, b)
-
-
-@given(matrices(3, 3), matrices(3, 3))
-@settings(max_examples=20, deadline=None)
-def test_row_sparse_mul_is_bit_identical(a, b):
-    nz = [r for r in range(3) if b.data[r].any()]
-    sparse = mat_mul_row_sparse(a, b, nz)
-    dense = mat_mul(a, b)
-    assert sparse == dense
 
 
 def test_dimension_mismatch():

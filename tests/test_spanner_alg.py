@@ -221,3 +221,20 @@ def test_levels_below_one_hop_make_no_queries_and_change_nothing(monkeypatch):
         assert st.reinit_events == ref.reinit_events
     assert queried[st] and all(a == b == 2 for a, b in queried[st])
     assert (1, 1) in queried[ref]
+
+
+def test_reinit_runs_at_most_once_per_update():
+    # H is mostly the greedy helper here (36-40 edges), which no resampling
+    # shrinks: re-initialising until H fits recursed until RecursionError
+    g, rng = random_graph(40, 50, seed=1)
+    st = AlgSpannerState(g.copy(), eps=1, kappa=0.5, seed=1, k=2, b=5)
+    st.reinit_threshold = 38
+    stayed_above = False
+    for ev in mixed_events(g, rng, 40):
+        before = len(st.reinit_events)
+        st.alg_update(ev)
+        assert st.reinit_events[before:] in ([], [st.update_count])
+        if len(st.reinit_events) > before:
+            stayed_above |= len(st.H) > st.reinit_threshold
+            check_state(st, 1)
+    assert stayed_above

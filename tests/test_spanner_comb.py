@@ -4,8 +4,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from dynsp._kernels import derive_seed
 from dynsp.estree import DECREMENTAL, INCREMENTAL, ModeViolation
 from dynsp.graph import (
     DeleteEdge,
@@ -17,9 +19,11 @@ from dynsp.spanner_comb import (
     REBUILD,
     RebuildSpanner,
     SpannerState,
+    sample_levels,
     sp_init,
     sp_rebuild_update,
 )
+from dynsp.spanner_alg import AlgSpannerState
 
 
 def random_graph(n, m, seed):
@@ -155,3 +159,32 @@ def test_snapshot_serialization():
     edges, beta = st.sp_current()
     assert edges == set(st.H)
     assert beta == st.beta_certificate
+
+
+def _nested_levels(n, k, seed):
+    """The level sampler as each spanner had its own copy (the reference)."""
+    rng = np.random.default_rng(seed)
+    level = [0] * n
+    prev_prob = 1.0
+    alive = list(range(n))
+    for i in range(1, k + 1):
+        prob = min(1.0, n ** (-i / k) * math.log(n)) if n > 1 else 1.0
+        keep_p = prob / prev_prob if prev_prob > 0 else 0.0
+        coins = rng.random(len(alive))
+        alive = [v for v, c in zip(alive, coins) if c < keep_p]
+        for v in alive:
+            level[v] = i
+        prev_prob = prob
+    return level
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 40, 128])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_shared_level_sampler_matches_the_per_spanner_copies(n, k):
+    for seed in (0, 1, 7, 2**40 + 3):
+        assert sample_levels(n, k, seed) == _nested_levels(n, k, seed)
+    g, _ = random_graph(max(n, 2), min(max(n, 2) - 1, 30), seed=n + k)
+    comb = SpannerState(g.copy(), 1, seed=5, k=k)
+    assert comb.level == _nested_levels(g.n, k, derive_seed(5, 0x5E))
+    alg = AlgSpannerState(g.copy(), 1, kappa=0.5, seed=5, k=k, b=3)
+    assert alg.level == _nested_levels(g.n, k, derive_seed(5, 0x6A, 0))
