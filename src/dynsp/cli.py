@@ -9,7 +9,17 @@ Subcommands:
 
 Every piece of randomness flows from the single --seed through
 counter-based splitting, so identical invocations produce byte-identical
-gen/run output.  Exit codes: 0 ok, 1 verification failure, 2 usage.
+gen/run output.
+
+Exit statuses:
+
+    0  success (for verify: every checked answer passed)
+    1  verify found a wrong answer
+    2  usage error: bad arguments, unreadable or malformed input
+    3  the structure failed on a valid script: the Steiner terminals
+       are disconnected (steiner.Disconnected), or a randomised
+       witness search failed (reporter.NoWitnessFound,
+       apsp.StitchFailure); one line on stderr names it
 
 Distance answers are serialized as integers, with "inf" for
 unreachable.  CSV outputs start with the versioned header line
@@ -25,7 +35,7 @@ import sys
 import time
 
 from ._kernels import derive_seed
-from .apsp import ApproxApsp, HittingSetApsp
+from .apsp import ApproxApsp, HittingSetApsp, StitchFailure
 from .gadgets import (
     GadgetScript,
     OuMvInstance,
@@ -51,10 +61,10 @@ from .graph import (
     serialize_script,
     validate_path,
 )
-from .reporter import BEYOND, PathReporter
+from .reporter import BEYOND, NoWitnessFound, PathReporter
 from .spanner_alg import AlgSpannerState
 from .spanner_comb import RebuildSpanner
-from .steiner import SteinerState
+from .steiner import Disconnected, SteinerState
 
 CSV_HEADER = "dynsp-csv v1"
 INF = math.inf
@@ -558,6 +568,9 @@ def main(argv=None) -> int:
     except (ParamDomain, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (Disconnected, NoWitnessFound, StitchFailure) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -4,9 +4,22 @@ Vertices are sampled into nested levels A_0 over ... over A_{k+1} = {}.
 Activeness of a level-l vertex is decided against distances in a
 multiplicative helper spanner G~ (not in G): a blocks as soon as some
 strictly-higher-level vertex sits within c_{l,j}/4 of it, where
-c_{l,j} = sum_{y=l+1}^{j} b^y.  The output spanner H is rebuilt after
-every update as G~ plus, per level i, a shortest G-path between every
-pair of same-level active vertices at distance at most b^{i+1}/(8 log n).
+c_{l,j} = sum_{y=l+1}^{j} b^y.  The output spanner H is G~ plus, per
+level i, a shortest G-path between every pair of same-level active
+vertices at distance at most b^{i+1}/(8 log n).
+
+What an update maintains and what it recomputes:
+
+- G~ is maintained.  It always equals greedy_spanner(G, stretch): the
+  greedy keeps an edge depending only on the kept edges before it in
+  sorted order, so deleting an edge it does not keep changes nothing,
+  an insertion that one bounded search through the kept edges before
+  it spans changes nothing, and any other update reruns the greedy
+  from that edge's position onwards.
+- Activeness depends only on G~ and the levels, so the deactivation
+  pass reruns only when G~ changed or the levels were resampled.
+- H is recomputed from G~ and the per-level pairs on every update,
+  because pair distances in G can change with any edge.
 
 High levels (i >= gamma = floor(kappa*k)) fetch those paths from a
 dynamically maintained algebraic distance/path structure whose degree
@@ -24,21 +37,55 @@ from collections import deque
 from fractions import Fraction
 
 from ._kernels import derive_seed
-from .graph import DynamicGraph, apply_update, bfs_dist_bounded
+from .graph import DynamicGraph, InsertEdge, apply_update, bfs_dist_bounded
 from .reporter import BEYOND, NoWitnessFound, PathReporter
 from .spanner_comb import sample_levels
 
 
 def greedy_spanner(g: DynamicGraph, stretch: int) -> set[tuple[int, int]]:
     """Greedy multiplicative spanner: keep (u,v) unless already spanned."""
-    h = DynamicGraph(g.n, directed=False)
     kept: set[tuple[int, int]] = set()
-    for u, v in sorted(g.edges()):
-        reach = bfs_dist_bounded(h, u, stretch)
-        if v not in reach:
+    _greedy_scan(DynamicGraph(g.n, directed=False), kept, sorted(g.edges()), stretch)
+    return kept
+
+
+def _greedy_scan(h: DynamicGraph, kept: set, edges, stretch: int) -> None:
+    """The greedy over `edges` in order, on top of the kept edges in h.
+
+    An edge is kept, into both h and `kept`, unless h already joins its
+    ends within `stretch` hops.
+    """
+    for u, v in edges:
+        if not _within(h, u, v, stretch):
             h.insert_edge(u, v)
             kept.add((u, v))
-    return kept
+
+
+def _within(h: DynamicGraph, s: int, t: int, radius: int, below=None) -> bool:
+    """Whether t is at most `radius` hops from s in h.
+
+    With `below`, only the edges of h that sort before it count.  The
+    search grows one BFS layer at a time from whichever end has the
+    smaller frontier, and stops when the two sides meet.
+    """
+    seen = ({s}, {t})
+    frontier = [[s], [t]]
+    for _ in range(radius):
+        side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
+        mine, other = seen[side], seen[1 - side]
+        nxt = []
+        for x in frontier[side]:
+            for y in h.adj[x]:
+                if y in mine or (below is not None and ((x, y) if x < y else (y, x)) >= below):
+                    continue
+                if y in other:
+                    return True
+                mine.add(y)
+                nxt.append(y)
+        if not nxt:
+            return False
+        frontier[side] = nxt
+    return False
 
 
 class AlgSpannerState:
@@ -73,12 +120,35 @@ class AlgSpannerState:
         # degree bound of the path core: covers every level's length cap
         self.depth = min(n, math.ceil(Fraction(self.b ** (self.k + 1), 1) / (8 * Fraction(self.log2n))))
         self.reinit_threshold = math.ceil(8 * n ** (1 + 1 / self.k) * self.log2n ** 3)
+        # block_threshold(l, j) = c_{l,j}/4, read from a table
+        self._block_thresholds = [
+            [Fraction(self.c_sum(l, j), 4) for j in range(self.k + 1)]
+            for l in range(self.k + 1)
+        ]
         self.reinit_events: list[int] = []
         self.fallback_pairs: list[tuple[int, int]] = []
         self.update_count = 0
+        self._counts = dict.fromkeys(
+            (
+                "helper_untouched",
+                "helper_bfs_settled",
+                "suffix_reruns",
+                "suffix_edges_scanned",
+                "deactivation_passes",
+            ),
+            0,
+        )
+        self._init_helper()
         self._init_everything()
 
     # ---- (re)initialization -----------------------------------------------
+
+    def _init_helper(self) -> None:
+        """G~ from scratch, and its graph."""
+        self.helper = greedy_spanner(self.g, self.helper_stretch)
+        self._helper_g = DynamicGraph(self.g.n, directed=False)
+        for u, v in self.helper:
+            self._helper_g.insert_edge(u, v)
 
     def _init_everything(self) -> None:
         self._resample()
@@ -86,6 +156,7 @@ class AlgSpannerState:
 
     def _resample(self) -> None:
         """Fresh levels and path core, seeded by the number of re-inits."""
+        self._active_stale = True
         run = len(self.reinit_events)
         self.level = sample_levels(self.g.n, self.k, derive_seed(self.seed, 0x6A, run))
         self.alg = PathReporter(
@@ -102,10 +173,36 @@ class AlgSpannerState:
         return sum(self.b**y for y in range(l + 1, j + 1))
 
     def block_threshold(self, l: int, j: int) -> Fraction:
-        return Fraction(self.c_sum(l, j), 4)
+        return self._block_thresholds[l][j]
 
     def pair_threshold(self, i: int) -> Fraction:
         return Fraction(self.b ** (i + 1), 1) / (8 * Fraction(self.log2n))
+
+    # ---- the greedy helper -------------------------------------------------
+
+    def _update_helper(self, ev) -> bool:
+        """Bring G~ up to date with ev, applied to g; True when it changed."""
+        e = (min(ev.u, ev.v), max(ev.u, ev.v))
+        if isinstance(ev, InsertEdge):
+            if _within(self._helper_g, e[0], e[1], self.helper_stretch, below=e):
+                self._counts["helper_bfs_settled"] += 1
+                return False
+        elif e not in self.helper:
+            self._counts["helper_untouched"] += 1
+            return False
+        self._rescan_from(e)
+        return True
+
+    def _rescan_from(self, e: tuple[int, int]) -> None:
+        """Rerun the greedy from e's position: the kept edges before it stay."""
+        dropped = {f for f in self.helper if f >= e}
+        self.helper -= dropped
+        for f in dropped:
+            self._helper_g.delete_edge(*f)
+        suffix = sorted(f for f in self.g.edges() if f >= e)
+        _greedy_scan(self._helper_g, self.helper, suffix, self.helper_stretch)
+        self._counts["suffix_reruns"] += 1
+        self._counts["suffix_edges_scanned"] += len(suffix)
 
     # ---- per-update rebuild ------------------------------------------------
 
@@ -122,13 +219,10 @@ class AlgSpannerState:
             self._build_spanner()
 
     def _build_spanner(self) -> None:
-        g = self.g
-        n = g.n
-        self.helper = greedy_spanner(g, self.helper_stretch)
-        helper_g = DynamicGraph(n, directed=False)
-        for u, v in self.helper:
-            helper_g.insert_edge(u, v)
-        self.active = self._deactivation_pass(helper_g)
+        n = self.g.n
+        if self._active_stale:
+            self.active = self._deactivation_pass(self._helper_g)
+            self._active_stale = False
         self.H = set(self.helper)
         for i in range(self.k + 1):
             thr = self.pair_threshold(i)
@@ -162,6 +256,7 @@ class AlgSpannerState:
 
     def _deactivation_pass(self, helper_g: DynamicGraph) -> list[bool]:
         """Descending-level BFS on the helper; exact per-level thresholds."""
+        self._counts["deactivation_passes"] += 1
         n = self.g.n
         active = [True] * n
         for j in range(self.k, 0, -1):
@@ -171,7 +266,7 @@ class AlgSpannerState:
                     continue
                 for x, dx in bfs_dist_bounded(helper_g, a2, depth).items():
                     p = self.level[x]
-                    if p < j and Fraction(dx) <= self.block_threshold(p, j):
+                    if p < j and dx <= self.block_threshold(p, j):
                         active[x] = False
         return active
 
@@ -207,6 +302,8 @@ class AlgSpannerState:
         apply_update(self.g, ev)
         self.alg.apply(ev)
         self.update_count += 1
+        if self._update_helper(ev):
+            self._active_stale = True
         self._rebuild()
         return set(self.H)
 
@@ -215,6 +312,21 @@ class AlgSpannerState:
             v
             for v in range(self.g.n)
             if self.level[v] == level and self.active[v]
+        }
+
+    def stats(self) -> dict[str, int]:
+        """Deterministic counters of the work done since construction.
+
+        Every update is exactly one of helper_untouched (a deleted edge
+        that G~ did not keep), helper_bfs_settled (an inserted edge that
+        one search showed G~ does not need) and suffix_reruns;
+        suffix_edges_scanned sums the edges those reruns rescanned.
+        """
+        return {
+            "updates": self.update_count,
+            **self._counts,
+            "reinits": len(self.reinit_events),
+            "fallback_pairs": len(self.fallback_pairs),
         }
 
     def snapshot(self) -> tuple[set, int]:
@@ -232,6 +344,7 @@ class AlgSpannerState:
             helper_g.insert_edge(u, v)
         from .graph import bfs_dist
 
+        dist_from = [bfs_dist(helper_g, a2) for a2 in range(self.g.n)]
         active = [True] * self.g.n
         for x in range(self.g.n):
             l = self.level[x]
@@ -239,8 +352,8 @@ class AlgSpannerState:
                 j = self.level[a2]
                 if j <= l:
                     continue
-                d = bfs_dist(helper_g, a2)[x]
-                if d != math.inf and Fraction(int(d)) <= self.block_threshold(l, j):
+                d = dist_from[a2][x]
+                if d != math.inf and Fraction(int(d)) <= Fraction(self.c_sum(l, j), 4):
                     active[x] = False
         return active
 

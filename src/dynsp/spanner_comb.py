@@ -81,6 +81,10 @@ class SpannerState:
         log2n = max(1.0, math.log2(n))
         self.k = k if k is not None else max(1, math.ceil(math.sqrt(log2n)))
         self.seed = seed
+        # eps'^-(i+1) per level, and threshold(j, i) read from a table
+        inv_pow = [self.eps_prime ** -(i + 1) for i in range(self.k + 1)]
+        self._radii = [min(n, math.ceil(x)) for x in inv_pow]
+        self._thresholds = [[x - y for y in inv_pow] for x in inv_pow]
         self.level = sample_levels(n, self.k, derive_seed(self.seed, 0x5E))
         self.beta_certificate = 2 * math.ceil(self.eps_prime ** -(self.k + 1))
         self.active: dict[int, bool] = {}
@@ -93,11 +97,11 @@ class SpannerState:
     # ---- static construction ----------------------------------------------
 
     def radius_for_level(self, i: int) -> int:
-        return min(self.g.n, math.ceil(self.eps_prime ** -(i + 1)))
+        return self._radii[i]
 
     def threshold(self, j: int, i: int) -> Fraction:
         """Blocking threshold between a level-j blocker and level-i blockee."""
-        return self.eps_prime ** -(j + 1) - self.eps_prime ** -(i + 1)
+        return self._thresholds[j][i]
 
     def recompute_active_from_scratch(self) -> dict[int, bool]:
         """Evaluate the activeness predicate directly from BFS distances."""

@@ -43,7 +43,7 @@ from dynsp.inverse import InverseState
 from dynsp.polymat import PolyMatrix, encode, series_inverse
 from dynsp.reporter import BEYOND, NoWitnessFound, PathReporter
 from dynsp.ring import FieldParams
-from dynsp.spanner_alg import alg_init, alg_update
+from dynsp.spanner_alg import alg_init, alg_update, greedy_spanner
 from dynsp.spanner_comb import sp_init
 from dynsp.steiner import (
     Disconnected,
@@ -381,6 +381,7 @@ def test_06_algebraic_spanner_certificate_and_activeness():
         dh = np_all_pairs_adj(edge_adj(st.g.n, st.H))
         mask = np.isfinite(dg)
         assert (dh[mask] <= slack * dg[mask] + 5**3).all()
+        assert st.helper == greedy_spanner(st.g, st.helper_stretch)
         assert st.active == st.brute_force_active()
 
     check()

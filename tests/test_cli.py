@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from dynsp.apsp import StitchFailure
 from dynsp.cli import CSV_HEADER, STRUCTURES, main
+from dynsp.reporter import NoWitnessFound
 
 
 def gen_random(tmp_path, name="s.txt", n=10, updates=12, seed=3):
@@ -186,3 +188,31 @@ def test_structures_tuple_is_stable():
         "steiner",
         "bfs-oracle",
     )
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "bench"])
+def test_library_failure_exits_3_with_one_line(tmp_path, capsys, command):
+    # terminals 0 and 2 sit in different components: steiner.Disconnected
+    script = tmp_path / "split.txt"
+    script.write_text("N 4 0\nE 0 1\nE 2 3\nT+ 0\nT+ 2\n")
+    assert main([command, "--structure", "steiner", "--script", str(script)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: Disconnected: terminals split into 2 groups: [[0], [2]]\n"
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [NoWitnessFound(1, 2, 7), StitchFailure("segment (1, 2) exceeds D=4")],
+    ids=["NoWitnessFound", "StitchFailure"],
+)
+def test_witness_failures_exit_3(tmp_path, capsys, monkeypatch, exc):
+    from dynsp import cli
+
+    def fail(self, u, v):
+        raise exc
+
+    script = gen_random(tmp_path)
+    monkeypatch.setattr(cli._BfsAdapter, "dist", fail)
+    assert main(["run", "--structure", "bfs-oracle", "--script", str(script)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {type(exc).__name__}: {exc}\n"
