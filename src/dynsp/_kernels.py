@@ -211,10 +211,16 @@ def _toeplitz(b):
     return win[..., ::-1, :]                    # [s, d] = pad[..., D - s + d]
 
 
-def mat_mul_mod(a, b, p):
-    """Exact (a @ b) mod p for 2-D uint64 arrays with entries < p."""
+def mat_mul_mod(a, b, p, a_limbs=None):
+    """Exact (a @ b) mod p for 2-D uint64 arrays with entries < p.
+
+    a_limbs, when given, is a's limb stack from _limbs_f64, split once
+    by a caller that multiplies a by several matrices.
+    """
     count = _limb_count(p)
-    return _mat_mul_chunked(_limbs_f64(a, count), _limbs_f64(b, count), p)
+    if a_limbs is None:
+        a_limbs = _limbs_f64(a, count)
+    return _mat_mul_chunked(a_limbs, _limbs_f64(b, count), p)
 
 
 def conv_trunc(a, b, p):
@@ -235,7 +241,8 @@ def poly_mat_mul(a, b, p):
     out[x, y, d] = sum_k sum_(t <= d) a[x, k, t] * b[k, y, d - t].
     The operand with fewer outer entries is expanded to block-Toeplitz
     form a few outer entries at a time, within _EXPAND_BUDGET entries;
-    each block is one mat_mul_mod against the other operand, flattened.
+    each block is one mat_mul_mod against the other operand, flattened
+    and split into limbs once per call.
     """
     n, k, dp1 = a.shape
     m = b.shape[1]
@@ -249,6 +256,7 @@ def poly_mat_mul(a, b, p):
     if m == 0:
         return out
     a_flat = a.reshape(n, k * dp1)                      # columns (k, s)
+    a_limbs = _limbs_f64(a_flat, _limb_count(p))        # split once for all blocks
     flat = out.reshape(n, m * dp1)                      # columns (y, d)
     # outer entries per block: its Toeplitz rows and its n output rows,
     # each times its D+1 columns, stay within the budget
@@ -257,7 +265,7 @@ def poly_mat_mul(a, b, p):
         hi = min(lo + step, m)
         block = _toeplitz(b[:, lo:hi]).transpose(0, 2, 1, 3)   # (k, s, y, d)
         block = block.reshape(k * dp1, (hi - lo) * dp1)
-        flat[:, lo * dp1 : hi * dp1] = mat_mul_mod(a_flat, block, p)
+        flat[:, lo * dp1 : hi * dp1] = mat_mul_mod(a_flat, block, p, a_limbs)
     return out
 
 

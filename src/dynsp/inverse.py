@@ -1,14 +1,24 @@
 """Dynamic truncated-polynomial matrix inverse with lazy T/N factorization.
 
-Maintains M^-1 = T(I + N) and det M for M = I - A under single-entry
-updates to A, where A is the symbolic adjacency.  Between resets only
-the row-sparse matrix N changes; every reset_period = max(1,
-round(n^kappa)) updates, T absorbs N (T <- T(I+N), N <- 0).
+Maintains M^-1 = T(I + N) and det M for M = I - A, where A is the
+symbolic adjacency.  One update changes one entry A[i, j], or the pair
+A[i, j] and A[j, i] of an undirected edge, as one rank-k Woodbury step
+with k = 1 or 2.  With U the identity's columns [i, j] and V^T M^-1 the
+rows [j, i] of M^-1, each times its entry's change to M:
+
+    B = V^T M^-1,  C = I + B U,  B' = -C^-1 B,
+    M'^-1 = M^-1 (I + U B'),  det M' = det M det C.
+
+C^-1 is adj(C) det(C)^-1, computed on exact integers.  Between resets
+only the row-sparse matrix N changes, N <- N + (N U + U) B'.  Once
+reset_period = max(1, round(n^kappa)) oriented entries have changed
+since the last reset, T absorbs N (T <- T(I+N), N <- 0).
 
 Sign convention: callers pass the additive change applied to A; the
 negation for M = I - A happens here.  Every legal update has zero
 constant coefficient (edge entries carry a factor u), which keeps the
-pivot 1 + b_i a unit and the determinant's constant term equal to 1.
+constant term of C equal to I, so det C is a unit and the determinant's
+constant term stays 1.
 
 Registered product states (witness-product module) and submatrix views
 are sequenced by this owner object so the reset order V before T, T
@@ -18,15 +28,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import add_mod, conv_trunc, mul_mod, neg_mod, poly_mat_mul
+from ._kernels import add_mod, neg_mod, poly_mat_mul
 from .polymat import EncodedAdjacency, PolyMatrix, series_inverse
-from .ring import TruncPoly, poly_inv
+from .ring import TruncPoly, poly_inv, poly_mul, poly_neg
 
 DEFAULT_KAPPA = 0.529
 
 
 class NonUnitPivot(RuntimeError):
-    """1 + b_i failed to be a unit; impossible for legal edge updates."""
+    """The capacitance's constant term is not I; impossible for legal edge updates."""
 
 
 def _take(arr: np.ndarray, rows, cols) -> np.ndarray:
@@ -36,8 +46,25 @@ def _take(arr: np.ndarray, rows, cols) -> np.ndarray:
     return arr[rows] if cols is None else arr[np.ix_(rows, cols)]
 
 
+def _neg_capacitance_inverse(C: np.ndarray, p: int):
+    """-C^-1 as a (k, k, D+1) array, and det C, for a 1x1 or 2x2 C.
+
+    C^-1 = adj(C) det(C)^-1; every product runs on exact integers.
+    """
+    c = [[TruncPoly(p, e) for e in row] for row in C]
+    if len(c) == 1:
+        det = c[0][0]
+        return poly_neg(poly_inv(det)).coeffs[None, None], det
+    (a, b), (e, d) = c
+    det = a * d - b * e
+    inv = poly_inv(det)
+    ninv = poly_neg(inv)
+    neg_cinv = [[d * ninv, b * inv], [e * inv, a * ninv]]
+    return np.array([[x.coeffs for x in row] for row in neg_cinv]), det
+
+
 class SubmatrixView:
-    """Explicitly maintained M^-1 restricted to H x H (rank-one updates)."""
+    """Explicitly maintained M^-1 restricted to H x H (low-rank updates)."""
 
     __slots__ = ("host", "H", "_pos", "cached")
 
@@ -52,10 +79,11 @@ class SubmatrixView:
     def entry(self, a: int, b: int) -> TruncPoly:
         return TruncPoly(self.host.p, self.cached[self._pos[a], self._pos[b]].copy())
 
-    def _apply(self, col_h: np.ndarray, bprime_h: np.ndarray) -> None:
+    def _apply(self, cols_h: np.ndarray, bprime_h: np.ndarray) -> None:
+        """cached += M^-1[H, U] B'[:, H], with M^-1 read before the update."""
         if not self.H:
             return
-        corr = poly_mat_mul(col_h[:, None, :], bprime_h[None, :, :], self.host.p)
+        corr = poly_mat_mul(cols_h, bprime_h, self.host.p)
         self.cached = add_mod(self.cached, corr, self.host.p)
 
 
@@ -82,13 +110,20 @@ class InverseState:
         self._in_reset = False
         self._products: list = []
         self._views: list[SubmatrixView] = []
+        self._counts = dict.fromkeys(
+            ("updates", "rank2_updates", "entries", "resets", "nrows_max"), 0
+        )
         if bootstrap:
             # determinant bootstrap: replay the initial edges through the
-            # update rule so det is always maintained by the product formula
-            initial = np.argwhere(A.matrix.data.any(axis=2))
+            # update rule so det is always maintained by the product formula;
+            # an entry whose transpose is present too goes in as one pair
+            present = A.matrix.data.any(axis=2)
             A.matrix.data[:] = 0
-            for i, j in initial:
-                self.dinv_update(int(i), int(j), A.entry_delta(int(i), int(j), True))
+            for i, j in np.argwhere(present).tolist():
+                paired = i != j and present[j, i]
+                if i < j or not paired:
+                    back = A.entry_delta(j, i, True) if paired else None
+                    self.dinv_update(i, j, A.entry_delta(i, j, True), back)
 
     # ---- registration ------------------------------------------------------
 
@@ -136,52 +171,69 @@ class InverseState:
     def det_poly(self) -> TruncPoly:
         return TruncPoly(self.p, self.det.copy())
 
+    def stats(self) -> dict[str, int]:
+        """Deterministic counters of the work done since construction.
+
+        updates counts dinv_update calls, rank2_updates the pairs among
+        them and entries the oriented entries changed (one or two per
+        update, the unit the reset period counts); nrows_max is the
+        high-water mark of N's nonzero rows, reached just before a reset.
+        """
+        return dict(self._counts)
+
     # ---- updates -----------------------------------------------------------
 
     def update_edge(self, i: int, j: int, present: bool) -> None:
         """Convenience: apply the oriented edge change through dinv_update."""
         self.dinv_update(i, j, self.A.entry_delta(i, j, present))
 
-    def dinv_update(self, i: int, j: int, dv: np.ndarray) -> None:
+    def dinv_update(self, i: int, j: int, dv: np.ndarray, back=None) -> None:
+        """Add dv to A[i, j], and back to A[j, i] when given, in one update."""
         p = self.p
-        dv = np.asarray(dv, dtype=np.uint64)
-        v = neg_mod(dv, p)  # change to M = I - A
-        # b = v * (row j of T(I+N)), as (1, n, D+1)
-        b = poly_mat_mul(v[None, None, :], self._block([j], None), p)
-        one_plus_bi = b[0, i].copy()
-        if one_plus_bi[0] != 0:
+        cols, rows = ([i], [j]) if back is None else ([i, j], [j, i])
+        k = len(cols)
+        dvs = np.asarray([dv] if back is None else [dv, back], dtype=np.uint64)
+        # B = diag(v) (rows [j, i] of T(I+N)), with v the change to M = I - A
+        diag = np.zeros((k, k, self.D + 1), dtype=np.uint64)
+        diag[range(k), range(k)] = neg_mod(dvs, p)
+        B = poly_mat_mul(diag, self._block(rows, None), p)
+        C = B[:, cols]
+        if C[:, :, 0].any():
             raise NonUnitPivot("update with nonzero constant coefficient")
-        one_plus_bi[0] = 1
-        inv_pivot = poly_inv(TruncPoly(p, one_plus_bi)).coeffs
-        bprime = neg_mod(poly_mat_mul(inv_pivot[None, None, :], b, p)[0], p)
-        # submatrix views see the rank-one correction against the OLD inverse
+        C[range(k), range(k), 0] = 1
+        neg_cinv, det_c = _neg_capacitance_inverse(C, p)
+        bprime = poly_mat_mul(neg_cinv, B, p)
+        # submatrix views see the rank-k correction against the OLD inverse
         for view in self._views:
             if view.H:
-                col_h = self.query_col(i, view.H)
-                view._apply(col_h, bprime[view.H])
-        # determinant picks up the pivot factor
-        self.det = conv_trunc(self.det, one_plus_bi, p)
-        # N <- NB + B - I  ==  N + outer(N e_i + e_i, b')
-        affected = sorted(set(self.nrows) | {i})
-        vec = self.N[affected, i].copy()
-        ii = affected.index(i)
-        vec[ii, 0] = (int(vec[ii, 0]) + 1) % p
-        self.N[affected] = add_mod(
-            self.N[affected],
-            poly_mat_mul(vec[:, None, :], bprime[None, :, :], p),
-            p,
-        )
+                view._apply(self._block(view.H, cols), bprime[:, view.H])
+        # determinant picks up det C
+        self.det = poly_mul(TruncPoly(p, self.det), det_c).coeffs
+        # N <- N + (N U + U) B'
+        affected = sorted(set(self.nrows).union(cols))
+        vec = _take(self.N, affected, cols)
+        for s, c in enumerate(cols):
+            r = affected.index(c)
+            vec[r, s, 0] = (int(vec[r, s, 0]) + 1) % p
+        self.N[affected] = add_mod(self.N[affected], poly_mat_mul(vec, bprime, p), p)
         self.nrows = affected
         # adjacency mirror
-        self.A.matrix.data[i, j] = add_mod(self.A.matrix.data[i, j], dv, p)
+        for c, r, d in zip(cols, rows, dvs):
+            self.A.matrix.data[c, r] = add_mod(self.A.matrix.data[c, r], d, p)
+        counts = self._counts
+        counts["updates"] += 1
+        counts["rank2_updates"] += k == 2
+        counts["entries"] += k
+        counts["nrows_max"] = max(counts["nrows_max"], len(affected))
         self.update_serial += 1
-        self.updates_since_reset += 1
+        self.updates_since_reset += k
         for ps in self._products:
             ps.prod_on_A_update()
         if self.updates_since_reset >= self.reset_period:
             self._reset()
 
     def _reset(self) -> None:
+        self._counts["resets"] += 1
         self._in_reset = True
         for ps in self._products:
             ps.prod_on_A_update()  # reset leg: folds N into V before T moves

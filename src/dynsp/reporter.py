@@ -129,15 +129,20 @@ class PathReporter:
 
     def pr_insert(self, u: int, v: int) -> None:
         self.g.insert_edge(u, v)
-        self.host.update_edge(u, v, True)
-        if not self.g.directed:
-            self.host.update_edge(v, u, True)
+        self._update(u, v, True)
 
     def pr_delete(self, u: int, v: int) -> None:
         self.g.delete_edge(u, v)
-        self.host.update_edge(u, v, False)
-        if not self.g.directed:
-            self.host.update_edge(v, u, False)
+        self._update(u, v, False)
+
+    def _update(self, u: int, v: int, present: bool) -> None:
+        """One inverse update: rank-1 for an arc, rank-2 for an undirected edge."""
+        host = self.host
+        if self.g.directed:
+            host.update_edge(u, v, present)
+        else:
+            delta = host.A.entry_delta
+            host.dinv_update(u, v, delta(u, v, present), delta(v, u, present))
 
     def apply(self, ev) -> None:
         from .graph import DeleteEdge, InsertEdge

@@ -3,6 +3,8 @@
 A TruncPoly is a dense coefficient vector of length D+1; the degree of
 its lowest nonzero term is what the rest of the library cares about,
 because that degree encodes a hop distance.  Values are immutable.
+Products and inverses of single elements run on exact Python ints: at
+these lengths a BLAS limb product is all call overhead.
 
 The default modulus is the Mersenne prime 2^61 - 1.  Small primes
 (below 2^31) are accepted for stress tests; other moduli are rejected
@@ -17,7 +19,6 @@ import numpy as np
 from ._kernels import (
     MERSENNE61,
     add_mod,
-    conv_trunc,
     min_degree_arr,
     mul_mod,
     neg_mod,
@@ -160,26 +161,29 @@ def poly_neg(a: TruncPoly) -> TruncPoly:
 
 
 def poly_mul(a: TruncPoly, b: TruncPoly) -> TruncPoly:
+    """Schoolbook truncated product on exact Python ints."""
     _check(a, b)
-    return TruncPoly(a.p, conv_trunc(a.coeffs, b.coeffs, a.p))
+    p, x, y = a.p, a.coeffs.tolist(), b.coeffs.tolist()
+    out = [0] * len(x)
+    for s, xs in enumerate(x):
+        if xs:
+            for t in range(len(x) - s):
+                out[s + t] += xs * y[t]
+    return TruncPoly(p, [c % p for c in out])
 
 
 def poly_inv(a: TruncPoly) -> TruncPoly:
-    """Multiplicative inverse via Newton iteration, doubling precision."""
-    p = a.p
-    a0 = int(a.coeffs[0])
-    if a0 == 0:
+    """Multiplicative inverse on exact Python ints, degree by degree.
+
+    From a x = 1: x_0 = a_0^-1 and x_d = -a_0^-1 sum_(t=1..d) a_t x_(d-t).
+    """
+    p, c = a.p, a.coeffs.tolist()
+    if c[0] == 0:
         raise NonUnit("constant coefficient is zero")
-    dp1 = a.D + 1
-    x = np.zeros(dp1, dtype=np.uint64)
-    x[0] = pow(a0, p - 2, p)
-    prec = 1
-    while prec < dp1:
-        prec = min(2 * prec, dp1)
-        ax = conv_trunc(a.coeffs[:prec], x[:prec], p)
-        two_minus = sub_mod(np.zeros(prec, dtype=np.uint64), ax, p)
-        two_minus[0] = (int(two_minus[0]) + 2) % p
-        x[:prec] = conv_trunc(x[:prec], two_minus, p)
+    inv0 = pow(c[0], p - 2, p)
+    x = [inv0]
+    for d in range(1, len(c)):
+        x.append(-sum(c[t] * x[d - t] for t in range(1, d + 1)) * inv0 % p)
     return TruncPoly(p, x)
 
 

@@ -97,7 +97,6 @@ class AlgSpannerState:
         seed: int = 0,
         k: int | None = None,
         b: int | None = None,
-        reporter_reps: int | None = None,
     ) -> None:
         if not 0 < float(eps) <= 1:
             raise ValueError("need 0 < eps <= 1")

@@ -1,15 +1,20 @@
 """Dynamic inverse against from-scratch series inversion and exact
-fraction-free determinants."""
+fraction-free determinants; pair updates against two rank-1 updates."""
 
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynsp.graph import DynamicGraph
 from dynsp.inverse import InverseState, NonUnitPivot
 from dynsp.polymat import PolyMatrix, encode, series_inverse
-from dynsp.ring import FieldParams, TruncPoly
+from dynsp.product import ProductState
+from dynsp.reporter import PathReporter
+from dynsp.ring import DEFAULT_PRIME, FieldParams, TruncPoly
 
 SMALL_P = 10007
 
@@ -175,3 +180,142 @@ def test_nonunit_pivot_rejected():
     bad[0] = 1  # constant-term change can make the pivot constant nonzero
     with pytest.raises(NonUnitPivot):
         st.dinv_update(0, 0, bad)
+
+
+def test_nonunit_pivot_rejected_on_a_pair():
+    host = InverseState(encode(DynamicGraph(4), FieldParams(p=SMALL_P, rng_seed=0), 3))
+    delta = host.A.entry_delta
+    host.dinv_update(0, 1, delta(0, 1, True), delta(1, 0, True))
+    before = (host.query_full(), host.det_poly(), host.stats())
+    good = delta(2, 3, True)
+    bad = good.copy()
+    bad[0] = 1
+    for dv, back in ((bad, good), (good, bad)):
+        with pytest.raises(NonUnitPivot):
+            host.dinv_update(2, 3, dv, back)
+    assert np.array_equal(host.query_full(), before[0])
+    assert host.det_poly() == before[1]
+    assert host.stats() == before[2]
+
+
+def _pair_states(n, D, p, period, H, seed):
+    """Two empty-graph states on one encoding, each with a view and a product."""
+    # round(n^kappa) == period, so the reset period does not depend on n
+    kappa = math.log(period) / math.log(n)
+    rng = random.Random(seed)
+    E = np.array(
+        [[[rng.randrange(p) for _ in range(D + 1)] for _ in range(n)] for _ in range(n)],
+        dtype=np.uint64,
+    )
+    out = []
+    for _ in range(2):
+        host = InverseState(encode(DynamicGraph(n), FieldParams(p=p, rng_seed=seed), D), kappa)
+        assert host.reset_period == period
+        out.append((host, host.register_submatrix(H), ProductState(host, E)))
+    return out
+
+
+@given(
+    n=st.integers(2, 24),
+    D=st.integers(1, 12),
+    p=st.sampled_from([SMALL_P, DEFAULT_PRIME]),
+    period=st.integers(1, 5),
+    data=st.data(),
+)
+@settings(max_examples=25, deadline=None)
+def test_pair_update_equals_two_rank_one_updates(n, D, p, period, data):
+    """Odd reset periods put the rank-1 replay's resets inside pairs."""
+    H = data.draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True), label="H")
+    stream = data.draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                 .filter(lambda e: e[0] != e[1]), min_size=1, max_size=12),
+        label="stream",
+    )
+    (pair, pair_view, pair_prod), (single, single_view, single_prod) = _pair_states(
+        n, D, p, period, H, seed=n * D + period
+    )
+    present = set()
+    for u, v in stream:
+        edge = (min(u, v), max(u, v))
+        present ^= {edge}
+        on = edge in present
+        delta = pair.A.entry_delta
+        pair.dinv_update(u, v, delta(u, v, on), delta(v, u, on))
+        single.update_edge(u, v, on)
+        single.update_edge(v, u, on)
+        full = pair.query_full()
+        assert np.array_equal(full, single.query_full())
+        assert np.array_equal(full, series_inverse(pair.A.matrix).data)
+        assert pair.det_poly() == single.det_poly()
+        assert np.array_equal(pair_view.cached, single_view.cached)
+        for i, j in ((u, v), (v, u), (u, u)):
+            assert pair_prod.prod_query(i, j) == single_prod.prod_query(i, j)
+    assert pair.stats()["entries"] == single.stats()["entries"] == 2 * len(stream)
+    assert pair.stats()["rank2_updates"] == len(stream)
+    assert single.stats()["rank2_updates"] == 0
+
+
+def _random_graph(n, m, directed, seed):
+    rng = random.Random(seed)
+    g = DynamicGraph(n, directed=directed)
+    while g.edge_count < m:
+        u, v = rng.sample(range(n), 2)
+        if not g.has_edge(u, v):
+            g.insert_edge(u, v)
+    return g
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_bootstrap_equals_edgeless_start_plus_inserts(directed):
+    g = _random_graph(10, 18, directed, seed=4)
+    params = FieldParams(p=SMALL_P, rng_seed=4)
+    boot = InverseState(encode(g, params, 5))
+    grown = InverseState(encode(DynamicGraph(10, directed=directed), params, 5))
+    for u in range(10):
+        for v in sorted(g.adj[u]):
+            grown.update_edge(u, v, True)
+    assert np.array_equal(boot.query_full(), grown.query_full())
+    assert boot.det_poly() == grown.det_poly()
+    assert np.array_equal(boot.A.matrix.data, grown.A.matrix.data)
+    # an entry whose transpose is present too goes in with it as one pair:
+    # every undirected edge, and each antiparallel pair of arcs
+    entries = g.edge_count * (1 if directed else 2)
+    pairs = sum(1 for u in range(10) for v in g.adj[u] if u < v and u in g.adj[v])
+    assert 0 < pairs and (directed or pairs == g.edge_count)
+    assert boot.stats()["rank2_updates"] == pairs
+    assert boot.stats()["updates"] == entries - pairs
+    assert boot.stats()["entries"] == entries
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_one_update_per_edge_change(directed):
+    g = DynamicGraph(8, directed=directed)
+    pr = PathReporter(g, 4, seed=2)
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (5, 6)]
+    for u, v in edges:
+        pr.pr_insert(u, v)
+    pr.pr_delete(1, 2)
+    stats = pr.host.stats()
+    assert stats["updates"] == len(edges) + 1
+    assert stats["rank2_updates"] == (0 if directed else len(edges) + 1)
+    assert stats["entries"] == (1 if directed else 2) * (len(edges) + 1)
+
+
+def test_stats_repeat_exactly_on_one_seed():
+    def run():
+        g = _random_graph(20, 30, False, seed=9)
+        pr = PathReporter(g, 6, seed=9, params=FieldParams(p=SMALL_P, rng_seed=9))
+        rng = random.Random(9)
+        for _ in range(25):
+            u, v = rng.sample(range(20), 2)
+            (pr.pr_delete if pr.g.has_edge(u, v) else pr.pr_insert)(u, v)
+        return pr.host.stats()
+
+    first = run()
+    assert first == run()
+    assert first["updates"] == 30 + 25
+    assert first["entries"] == 2 * first["updates"]
+    # a reset comes once the entries since the last one reach the period
+    pairs_per_reset = math.ceil(round(20**0.529) / 2)
+    assert first["resets"] == first["updates"] // pairs_per_reset
+    assert 2 <= first["nrows_max"] <= 2 * pairs_per_reset

@@ -1,10 +1,13 @@
 """Truncated-polynomial ring arithmetic against naive integer oracles."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynsp._kernels import conv_trunc, sub_mod
 from dynsp.ring import (
     DEFAULT_PRIME,
     FieldParams,
@@ -111,3 +114,41 @@ def test_coefficients_are_reduced_and_frozen():
     assert list(a.coeffs) == [3, 0, 1]
     with pytest.raises(ValueError):
         a.coeffs[0] = 9
+
+
+# ---- the BLAS implementations that poly_mul and poly_inv replaced ---------
+
+
+def ref_mul(a, b, p):
+    return conv_trunc(np.asarray(a, np.uint64), np.asarray(b, np.uint64), p)
+
+
+def ref_inv(a, p):
+    """Newton iteration on conv_trunc, doubling the precision each step."""
+    a = np.asarray(a, np.uint64)
+    dp1 = a.size
+    x = np.zeros(dp1, dtype=np.uint64)
+    x[0] = pow(int(a[0]), p - 2, p)
+    prec = 1
+    while prec < dp1:
+        prec = min(2 * prec, dp1)
+        ax = conv_trunc(a[:prec], x[:prec], p)
+        two_minus = sub_mod(np.zeros(prec, dtype=np.uint64), ax, p)
+        two_minus[0] = (int(two_minus[0]) + 2) % p
+        x[:prec] = conv_trunc(x[:prec], two_minus, p)
+    return x
+
+
+@pytest.mark.parametrize("p", [SMALL_P, DEFAULT_PRIME])
+def test_mul_and_inv_match_blas_reference(p):
+    rng = random.Random(p)
+    for degree in range(41):
+        for _ in range(3):
+            ac = [rng.randrange(p) for _ in range(degree + 1)]
+            bc = [rng.randrange(p) for _ in range(degree + 1)]
+            ac[0] = rng.randrange(2, p)  # a unit other than 1
+            low = rng.randrange(degree + 1)
+            bc[:low] = [0] * low  # low-degree zeros, as edge entries have
+            a, b = TruncPoly(p, ac), TruncPoly(p, bc)
+            assert np.array_equal(poly_mul(a, b).coeffs, ref_mul(ac, bc, p))
+            assert np.array_equal(poly_inv(a).coeffs, ref_inv(ac, p))
