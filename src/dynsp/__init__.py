@@ -14,7 +14,6 @@ from .gadgets import (
     HarnessReport,
     OuMvInstance,
     ParamDomain,
-    SpannerBfsProvider,
     gen_kcycle,
     gen_oumv_decremental,
     gen_oumv_fully,
@@ -37,6 +36,8 @@ from .graph import (
     apply_update,
     bfs_dist,
     bfs_dist_bounded,
+    bfs_path,
+    graph_of,
     parse_script,
     serialize_script,
     validate_path,
@@ -69,24 +70,8 @@ from .ring import (
     poly_scale,
     poly_sub,
 )
-from .spanner_alg import AlgSpannerState, alg_active, alg_init, alg_update
-from .spanner_comb import (
-    REBUILD,
-    RebuildSpanner,
-    SpannerState,
-    sp_current,
-    sp_init,
-    sp_rebuild_update,
-    sp_update,
-)
-from .steiner import (
-    Disconnected,
-    SteinerState,
-    SteinerTree,
-    TerminalStateError,
-    steiner_add_terminal,
-    steiner_edge_update,
-    steiner_remove_terminal,
-)
+from .spanner_alg import AlgSpannerState
+from .spanner_comb import REBUILD, RebuildSpanner, SpannerState, sp_rebuild_update
+from .steiner import Disconnected, SteinerState, SteinerTree, TerminalStateError
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from ._kernels import derive_seed, min_degree_arr
-from .graph import DynamicGraph, bfs_dist
+from .graph import DynamicGraph, bfs_dist, bfs_path
 from .inverse import DEFAULT_KAPPA
 from .reporter import BEYOND, PathReporter
 from .spanner_comb import RebuildSpanner
@@ -62,6 +62,9 @@ class HittingSetApsp:
         self.pr.apply(ev)
         self._recompute_fw()
 
+    def apply(self, ev) -> None:
+        self.exact_update(ev)
+
     def _recompute_fw(self) -> None:
         h = len(self.H)
         md = min_degree_arr(self.sub.cached) if h else np.zeros((0, 0))
@@ -81,10 +84,6 @@ class HittingSetApsp:
 
     # ---- queries -----------------------------------------------------------
 
-    def _short_dist(self, i: int, j: int) -> float:
-        d = self.pr.pr_dist(i, j)
-        return INF if d is BEYOND else float(d)
-
     def _stitch_terms(self, i: int, j: int):
         """min-degree rows/columns towards H, as float vectors with INF."""
         row = min_degree_arr(self.pr.host.query_rows([i])[0][self.H])
@@ -100,7 +99,7 @@ class HittingSetApsp:
 
     def _stitch(self, i: int, j: int):
         """(short distance, stitched lengths over H x H or None, their min)."""
-        short = self._short_dist(i, j)
+        short = self.pr.dist(i, j)
         if not self.H:
             return short, None, short
         row, col = self._stitch_terms(i, j)
@@ -111,6 +110,9 @@ class HittingSetApsp:
         if i == j:
             return 0.0
         return self._stitch(i, j)[2]
+
+    def dist(self, i: int, j: int) -> float:
+        return self.exact_dist(i, j)
 
     def exact_dist_matrix(self) -> np.ndarray:
         """All-pairs distances at once (the acceptance-audit fast path)."""
@@ -131,11 +133,18 @@ class HittingSetApsp:
         return out
 
     def exact_path(self, i: int, j: int) -> list[int]:
+        path = self.path(i, j)
+        if path is None:
+            raise ValueError(f"({i}, {j}) disconnected")
+        return path
+
+    def path(self, i: int, j: int):
+        """A shortest i-j path; None when j is unreachable."""
         if i == j:
             return [i]
         short, cand, total = self._stitch(i, j)
         if total == INF:
-            raise ValueError(f"({i}, {j}) disconnected")
+            return None
         if short == total:
             return self.pr.pr_path(i, j)
         hits = np.argwhere(cand == total)
@@ -205,16 +214,16 @@ class ApproxApsp:
         return bfs_dist(self._spanner_graph(), i)[j]
 
     def approx_path(self, i: int, j: int) -> list[int]:
-        d = self.pr.pr_dist(i, j)
-        if d is not BEYOND:
-            return self.pr.pr_path(i, j)
-        h = self._spanner_graph()
-        dist = bfs_dist(h, j)  # undirected: distances to j
-        if dist[i] == INF:
+        path = self.path(i, j)
+        if path is None:
             raise ValueError(f"({i}, {j}) disconnected in the spanner")
-        path = [i]
-        cur = i
-        while cur != j:
-            cur = min(v for v in h.adj[cur] if dist[v] == dist[cur] - 1)
-            path.append(cur)
         return path
+
+    def dist(self, i: int, j: int) -> float:
+        return self.approx_dist(i, j)
+
+    def path(self, i: int, j: int):
+        """An i-j path within the distance guarantee; None when unreachable."""
+        if self.pr.pr_dist(i, j) is not BEYOND:
+            return self.pr.pr_path(i, j)
+        return bfs_path(self._spanner_graph(), i, j)

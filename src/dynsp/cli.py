@@ -4,7 +4,8 @@ Subcommands:
 
     gen     write an update script (gadget constructions or random graphs)
     run     replay a script against one structure, emit answers as CSV
-    verify  replay against the structure AND the BFS oracle, compare
+    verify  replay against the structure AND the BFS oracle, check every
+            answer against the structure's certificate
     bench   timed replay with warmup; per-update/per-query percentiles
 
 Every piece of randomness flows from the single --seed through
@@ -15,7 +16,9 @@ Exit statuses:
 
     0  success (for verify: every checked answer passed)
     1  verify found a wrong answer
-    2  usage error: bad arguments, unreadable or malformed input
+    2  usage error: bad arguments, unreadable or malformed input, or an
+       event the structure does not take (a terminal event for an
+       edge-only structure)
     3  the structure failed on a valid script: the Steiner terminals
        are disconnected (steiner.Disconnected), or a randomised
        witness search failed (reporter.NoWitnessFound,
@@ -33,10 +36,12 @@ import math
 import statistics
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from ._kernels import derive_seed
 from .apsp import ApproxApsp, HittingSetApsp, StitchFailure
 from .gadgets import (
+    BfsProvider,
     GadgetScript,
     OuMvInstance,
     ParamDomain,
@@ -46,22 +51,21 @@ from .gadgets import (
     gen_oumv_incremental,
 )
 from .graph import (
-    AddTerminal,
     DeleteEdge,
     DistQuery,
     DynamicGraph,
     InsertEdge,
     PathQuery,
     PhaseMark,
-    RemoveTerminal,
     UpdateScript,
     apply_update,
     bfs_dist,
+    graph_of,
     parse_script,
     serialize_script,
     validate_path,
 )
-from .reporter import BEYOND, NoWitnessFound, PathReporter
+from .reporter import NoWitnessFound, PathReporter
 from .spanner_alg import AlgSpannerState
 from .spanner_comb import RebuildSpanner
 from .steiner import Disconnected, SteinerState
@@ -69,201 +73,81 @@ from .steiner import Disconnected, SteinerState
 CSV_HEADER = "dynsp-csv v1"
 INF = math.inf
 
-STRUCTURES = (
-    "exact-apsp",
-    "approx-apsp",
-    "path-reporter",
-    "spanner-comb",
-    "spanner-alg",
-    "steiner",
-    "bfs-oracle",
-)
-
 
 def _fmt(x) -> str:
     return "inf" if x == INF else str(int(x))
 
 
-# ---- structure adapters ----------------------------------------------------
+# ---- the structures --------------------------------------------------------
+#
+# Every structure answers apply(ev) and dist(u, v), which is inf when v is
+# unreachable or past the structure's cap; those that report paths also
+# answer path(u, v), which is None when dist is inf.  A certificate
+# (eps, beta, exact_up_to) promises dist(u, v) >= d, and
+# dist(u, v) <= (1 + eps) d + beta whenever d <= exact_up_to, for the
+# true distance d.
 
 
-class _Adapter:
-    """Uniform face over the structures: apply / dist / path / extra row."""
-
-    exact = False
-
-    def apply(self, ev) -> None:
-        raise NotImplementedError
-
-    def dist(self, u, v) -> float:
-        raise NotImplementedError
-
-    def path(self, u, v):
-        return None
-
-    def extra(self) -> str:
-        return ""
+class Structure(NamedTuple):
+    make: Callable  # (initial graph, args) -> structure
+    certificate: Callable  # structure -> (eps, beta, exact_up_to)
+    extra: Callable = lambda st: ""  # structure -> the CSV "extra" column
 
 
-class _BfsAdapter(_Adapter):
-    exact = True
-
-    def __init__(self, g: DynamicGraph, args) -> None:
-        self.g = g
-
-    def apply(self, ev) -> None:
-        apply_update(self.g, ev)
-
-    def dist(self, u, v) -> float:
-        return bfs_dist(self.g, u)[v]
-
-    def path(self, u, v):
-        d = bfs_dist(self.g, v)
-        if d[u] == INF:
-            return None
-        path, cur = [u], u
-        while cur != v:
-            cur = min(w for w in self.g.adj[cur] if d[w] == d[cur] - 1)
-            path.append(cur)
-        return path
+def _exact(st):
+    return 0, 0, INF
 
 
-class _ExactApspAdapter(_Adapter):
-    exact = True
-
-    def __init__(self, g: DynamicGraph, args) -> None:
-        self.st = HittingSetApsp(g, args.D, kappa=args.kappa, seed=args.seed)
-
-    def apply(self, ev) -> None:
-        self.st.exact_update(ev)
-
-    def dist(self, u, v) -> float:
-        return self.st.exact_dist(u, v)
-
-    def path(self, u, v):
-        if self.st.exact_dist(u, v) == INF:
-            return None
-        return self.st.exact_path(u, v)
+def _approx(apsp: ApproxApsp):
+    return apsp.eps, apsp.spanner.beta_certificate, INF
 
 
-class _ApproxApspAdapter(_Adapter):
-    def __init__(self, g: DynamicGraph, args) -> None:
-        self.st = ApproxApsp(
-            g, args.eps, seed=args.seed, D=args.D, spanner_k=args.k
-        )
-        self.eps = args.eps
-        self.beta = self.st.spanner.beta_certificate
-
-    def apply(self, ev) -> None:
-        self.st.apply(ev)
-
-    def dist(self, u, v) -> float:
-        return self.st.approx_dist(u, v)
-
-    def path(self, u, v):
-        if self.st.approx_dist(u, v) == INF:
-            return None
-        return self.st.approx_path(u, v)
+def _spanner(st):
+    return st.eps, st.beta_certificate, INF
 
 
-class _ReporterAdapter(_Adapter):
-    exact = True
-
-    def __init__(self, g: DynamicGraph, args) -> None:
-        self.st = PathReporter(g, args.D, kappa=args.kappa, seed=args.seed)
-        self.D = args.D
-
-    def apply(self, ev) -> None:
-        self.st.apply(ev)
-
-    def dist(self, u, v) -> float:
-        d = self.st.pr_dist(u, v)
-        return INF if d is BEYOND else float(d)
-
-    def path(self, u, v):
-        if self.st.pr_dist(u, v) is BEYOND:
-            return None
-        return self.st.pr_path(u, v)
-
-    def exact_up_to(self) -> float:
-        return self.D
+def _hsize(st) -> str:
+    return f"hsize={len(st.edges())}"
 
 
-class _SpannerAdapter(_Adapter):
-    def __init__(self, g: DynamicGraph, args, algebraic: bool) -> None:
-        if algebraic:
-            self.alg = AlgSpannerState(
-                g, args.eps, kappa=args.kappa, seed=args.seed, k=args.k, b=args.b
-            )
-            self.rebuild = None
-            self.beta = self.alg.beta_certificate
-        else:
-            self.rebuild = RebuildSpanner(g, args.eps, args.seed, k=args.k)
-            self.alg = None
-            self.beta = self.rebuild.beta_certificate
-        self.eps = args.eps
-
-    def _h_graph(self) -> DynamicGraph:
-        if self.alg is not None:
-            n = self.alg.g.n
-            edges = self.alg.H
-        else:
-            n = self.rebuild.g.n
-            edges = self.rebuild.edges()
-        h = DynamicGraph(n)
-        for u, v in edges:
-            h.insert_edge(u, v)
-        return h
-
-    def apply(self, ev) -> None:
-        if self.alg is not None:
-            self.alg.alg_update(ev)
-        else:
-            self.rebuild.apply(ev)
-
-    def dist(self, u, v) -> float:
-        return bfs_dist(self._h_graph(), u)[v]
-
-    def extra(self) -> str:
-        size = len(self.alg.H) if self.alg is not None else len(self.rebuild.edges())
-        return f"hsize={size}"
+REGISTRY = {
+    "exact-apsp": Structure(
+        lambda g, a: HittingSetApsp(g, a.D, kappa=a.kappa, seed=a.seed), _exact
+    ),
+    "approx-apsp": Structure(
+        lambda g, a: ApproxApsp(g, a.eps, seed=a.seed, D=a.D, spanner_k=a.k), _approx
+    ),
+    "path-reporter": Structure(
+        lambda g, a: PathReporter(g, a.D, kappa=a.kappa, seed=a.seed),
+        lambda st: (0, 0, st.D),
+    ),
+    "spanner-comb": Structure(
+        lambda g, a: RebuildSpanner(g, a.eps, a.seed, k=a.k), _spanner, _hsize
+    ),
+    "spanner-alg": Structure(
+        lambda g, a: AlgSpannerState(g, a.eps, kappa=a.kappa, seed=a.seed, k=a.k, b=a.b),
+        _spanner,
+        _hsize,
+    ),
+    "steiner": Structure(
+        lambda g, a: SteinerState(g, [], eps=a.eps, seed=a.seed),
+        lambda st: _approx(st.provider),
+        lambda st: f"weight={st.tree.weight}",
+    ),
+    "bfs-oracle": Structure(lambda g, a: BfsProvider(g), _exact),
+}
+STRUCTURES = tuple(REGISTRY)
 
 
-class _SteinerAdapter(_Adapter):
-    def __init__(self, g: DynamicGraph, args) -> None:
-        self.st = SteinerState(g, [], eps=args.eps, seed=args.seed)
-
-    def apply(self, ev) -> None:
-        if isinstance(ev, AddTerminal):
-            self.st.steiner_add_terminal(ev.v)
-        elif isinstance(ev, RemoveTerminal):
-            self.st.steiner_remove_terminal(ev.v)
-        else:
-            self.st.steiner_edge_update(ev)
-
-    def dist(self, u, v) -> float:
-        return self.st.provider.approx_dist(u, v)
-
-    def extra(self) -> str:
-        return f"weight={self.st.tree.weight}"
+def _path(st, u, v):
+    return st.path(u, v) if hasattr(st, "path") else None
 
 
-def build_structure(name: str, g: DynamicGraph, args) -> _Adapter:
-    if name == "bfs-oracle":
-        return _BfsAdapter(g, args)
-    if name == "exact-apsp":
-        return _ExactApspAdapter(g, args)
-    if name == "approx-apsp":
-        return _ApproxApspAdapter(g, args)
-    if name == "path-reporter":
-        return _ReporterAdapter(g, args)
-    if name == "spanner-comb":
-        return _SpannerAdapter(g, args, algebraic=False)
-    if name == "spanner-alg":
-        return _SpannerAdapter(g, args, algebraic=True)
-    if name == "steiner":
-        return _SteinerAdapter(g, args)
-    raise ValueError(f"unknown structure {name!r}")
+def _certified(got, want, certificate) -> bool:
+    eps, beta, exact_up_to = certificate
+    return got >= want and (
+        want == INF or want > exact_up_to or got <= (1 + eps) * want + beta
+    )
 
 
 # ---- gen -------------------------------------------------------------------
@@ -349,6 +233,8 @@ def cmd_gen(args) -> int:
         gs.script.validate()
         _write_gadget(gs, args.out)
     elif args.kind == "kcycle":
+        if args.graph is None:
+            raise ParamDomain("gen kcycle needs --graph")
         with open(args.graph) as fh:
             g = _parse_directed(fh.read())
         mode = {"kind": args.mode}
@@ -367,41 +253,38 @@ def _parse_directed(text: str) -> DynamicGraph:
     """Directed edge-list: first line 'n', then 'u v' per line."""
     lines = [l.split("#")[0].strip() for l in text.splitlines()]
     lines = [l for l in lines if l]
-    g = DynamicGraph(int(lines[0]), directed=True)
-    for line in lines[1:]:
-        u, v = map(int, line.split())
-        g.insert_edge(u, v)
-    return g
+    arcs = [tuple(map(int, line.split())) for line in lines[1:]]
+    return graph_of(int(lines[0]), arcs, directed=True)
 
 
 # ---- run / verify ----------------------------------------------------------
 
 
-def _load(args) -> tuple[UpdateScript, _Adapter]:
+def _load(args) -> tuple[UpdateScript, object]:
     with open(args.script) as fh:
         script = parse_script(fh.read())
-    adapter = build_structure(args.structure, script.initial_graph(), args)
-    return script, adapter
+    return script, REGISTRY[args.structure].make(script.initial_graph(), args)
 
 
 def cmd_run(args) -> int:
     script, st = _load(args)
+    extra = REGISTRY[args.structure].extra
     rows = [CSV_HEADER, "index,kind,u,v,answer,extra"]
     for idx, ev in enumerate(script.events):
         if isinstance(ev, DistQuery):
             rows.append(f"{idx},dist,{ev.u},{ev.v},{_fmt(st.dist(ev.u, ev.v))},")
         elif isinstance(ev, PathQuery):
-            p = st.path(ev.u, ev.v)
+            p = _path(st, ev.u, ev.v)
             ans = "none" if p is None else "-".join(map(str, p))
             rows.append(f"{idx},path,{ev.u},{ev.v},{ans},")
         elif isinstance(ev, PhaseMark):
-            rows.append(f"{idx},phase,{ev.i},,,{st.extra()}")
+            rows.append(f"{idx},phase,{ev.i},,,{extra(st)}")
         else:
             st.apply(ev)
             if isinstance(ev, (InsertEdge, DeleteEdge)):
-                rows.append(f"{idx},update,{ev.u},{ev.v},,{st.extra()}")
+                rows.append(f"{idx},update,{ev.u},{ev.v},,{extra(st)}")
             else:
-                rows.append(f"{idx},terminal,{ev.v},,,{st.extra()}")
+                rows.append(f"{idx},terminal,{ev.v},,,{extra(st)}")
     text = "\n".join(rows) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -413,25 +296,14 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     script, st = _load(args)
+    certificate = REGISTRY[args.structure].certificate(st)
     oracle = script.initial_graph()
-    eps = getattr(st, "eps", None)
-    beta = getattr(st, "beta", 0)
-    exact_cap = st.exact_up_to() if hasattr(st, "exact_up_to") else INF
     checked = 0
     for idx, ev in enumerate(script.events):
         if isinstance(ev, DistQuery):
             got = st.dist(ev.u, ev.v)
             want = bfs_dist(oracle, ev.u)[ev.v]
-            if st.exact:
-                if want > exact_cap:  # bounded structures may answer beyond-D
-                    ok = got >= want
-                else:
-                    ok = got == want
-            else:
-                ok = got >= want and (
-                    want == INF or got <= (1 + eps) * want + beta
-                )
-            if not ok:
+            if not _certified(got, want, certificate):
                 print(
                     f"FAIL at event {idx}: dist({ev.u},{ev.v}) = {_fmt(got)}, "
                     f"oracle {_fmt(want)}"
@@ -439,22 +311,23 @@ def cmd_verify(args) -> int:
                 return 1
             checked += 1
         elif isinstance(ev, PathQuery):
-            p = st.path(ev.u, ev.v)
-            want = bfs_dist(oracle, ev.u)[ev.v]
-            if p is not None:
-                if not validate_path(oracle, p) or p[0] != ev.u or p[-1] != ev.v:
+            if hasattr(st, "path"):
+                p = st.path(ev.u, ev.v)
+                want = bfs_dist(oracle, ev.u)[ev.v]
+                if p is not None and (
+                    not validate_path(oracle, p) or p[0] != ev.u or p[-1] != ev.v
+                ):
                     print(f"FAIL at event {idx}: invalid path {p}")
                     return 1
-                if st.exact and want <= exact_cap and len(p) - 1 != want:
+                got = INF if p is None else len(p) - 1
+                if not _certified(got, want, certificate):
                     print(
-                        f"FAIL at event {idx}: path length {len(p) - 1}, "
+                        f"FAIL at event {idx}: path length {_fmt(got)}, "
                         f"oracle {_fmt(want)}"
                     )
                     return 1
             checked += 1
-        elif isinstance(ev, PhaseMark):
-            pass
-        else:
+        elif not isinstance(ev, PhaseMark):
             st.apply(ev)
             if isinstance(ev, (InsertEdge, DeleteEdge)):
                 apply_update(oracle, ev)
@@ -467,7 +340,7 @@ def cmd_bench(args) -> int:
         script = parse_script(fh.read())
 
     def one_pass():
-        st = build_structure(args.structure, script.initial_graph(), args)
+        st = REGISTRY[args.structure].make(script.initial_graph(), args)
         up, q = [], []
         for ev in script.events:
             t0 = time.perf_counter()
@@ -475,7 +348,7 @@ def cmd_bench(args) -> int:
                 st.dist(ev.u, ev.v)
                 q.append(time.perf_counter() - t0)
             elif isinstance(ev, PathQuery):
-                st.path(ev.u, ev.v)
+                _path(st, ev.u, ev.v)
                 q.append(time.perf_counter() - t0)
             elif isinstance(ev, PhaseMark):
                 pass

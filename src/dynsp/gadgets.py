@@ -37,9 +37,10 @@ from .graph import (
     InsertEdge,
     PhaseMark,
     UpdateScript,
+    apply_update,
     bfs_dist,
+    bfs_path,
 )
-from .spanner_comb import RebuildSpanner
 
 
 class ParamDomain(ValueError):
@@ -439,25 +440,13 @@ class BfsProvider:
         self.g = g
 
     def apply(self, ev) -> None:
-        from .graph import apply_update
-
         apply_update(self.g, ev)
 
     def dist(self, u: int, v: int) -> float:
         return bfs_dist(self.g, u)[v]
 
-
-class SpannerBfsProvider:
-    """Distance estimates from BFS on a per-update rebuilt spanner."""
-
-    def __init__(self, g: DynamicGraph, eps, seed: int = 0, k: int | None = None) -> None:
-        self.spanner = RebuildSpanner(g, eps, seed, k=k)
-
-    def apply(self, ev) -> None:
-        self.spanner.apply(ev)
-
-    def dist(self, u: int, v: int) -> float:
-        return bfs_dist(self.spanner.subgraph(), u)[v]
+    def path(self, u: int, v: int):
+        return bfs_path(self.g, u, v)
 
 
 @dataclass
@@ -492,8 +481,6 @@ def harness_run(gs: GadgetScript, make_provider) -> HarnessReport:
     marks = set(gs.restore_marks)
     for pos, ev in enumerate(gs.script.events, start=1):
         if isinstance(ev, (InsertEdge, DeleteEdge)):
-            from .graph import apply_update
-
             apply_update(shadow, ev)
             provider.apply(ev)
         elif isinstance(ev, DistQuery):

@@ -131,10 +131,7 @@ class DynamicGraph:
                     yield (u, v)
 
     def copy(self) -> "DynamicGraph":
-        g = DynamicGraph(self.n, self.directed)
-        for u, v in self.edges():
-            g.insert_edge(u, v)
-        return g
+        return graph_of(self.n, self.edges(), self.directed)
 
     def edge_hash(self) -> int:
         return hash(frozenset(self.edges()) | {("n", self.n, self.directed)})
@@ -142,6 +139,14 @@ class DynamicGraph:
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
         return f"DynamicGraph(n={self.n}, m={self.edge_count}, {kind})"
+
+
+def graph_of(n: int, edges, directed: bool = False) -> DynamicGraph:
+    """The graph on [0, n) with the given edges."""
+    g = DynamicGraph(n, directed)
+    for u, v in edges:
+        g.insert_edge(u, v)
+    return g
 
 
 def apply_update(g: DynamicGraph, ev) -> DynamicGraph:
@@ -170,6 +175,22 @@ def bfs_dist(g: DynamicGraph, s: int) -> list[float]:
                 dist[v] = du
                 q.append(v)
     return dist
+
+
+def bfs_path(g: DynamicGraph, u: int, v: int) -> Optional[list[int]]:
+    """A shortest u-v path, or None when v is unreachable from u.
+
+    Every step goes to the smallest-index neighbour one hop closer to v.
+    """
+    to_v = g if not g.directed else graph_of(g.n, ((b, a) for a, b in g.edges()), True)
+    dist = bfs_dist(to_v, v)
+    if dist[u] == INF:
+        return None
+    path = [u]
+    while path[-1] != v:
+        cur = path[-1]
+        path.append(min(w for w in g.adj[cur] if dist[w] == dist[cur] - 1))
+    return path
 
 
 def bfs_dist_bounded(g: DynamicGraph, s: int, radius: int) -> dict[int, int]:
@@ -205,10 +226,7 @@ class UpdateScript:
     events: list[Event]
 
     def initial_graph(self) -> DynamicGraph:
-        g = DynamicGraph(self.n, self.directed)
-        for u, v in self.initial_edges:
-            g.insert_edge(u, v)
-        return g
+        return graph_of(self.n, self.initial_edges, self.directed)
 
     def validate(self) -> None:
         """Replay edge events against a scratch graph; raises IllegalUpdate."""

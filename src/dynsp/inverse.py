@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import add_mod, neg_mod, poly_mat_mul
-from .polymat import EncodedAdjacency, PolyMatrix, series_inverse
+from .polymat import EncodedAdjacency, PolyMatrix
 from .ring import TruncPoly, poly_inv, poly_mul, poly_neg
 
 DEFAULT_KAPPA = 0.529
@@ -96,11 +96,7 @@ class InverseState:
         self.kappa = kappa
         self.reset_period = max(1, round(self.n**kappa))
         dp1 = self.D + 1
-        bootstrap = bool(A.matrix.data.any())
-        if bootstrap:
-            self.T = PolyMatrix.identity(self.p, self.n, self.D).data
-        else:
-            self.T = series_inverse(A.matrix).data.copy()
+        self.T = PolyMatrix.identity(self.p, self.n, self.D).data
         self.N = np.zeros((self.n, self.n, dp1), dtype=np.uint64)
         self.nrows: list[int] = []
         self.det = np.zeros(dp1, dtype=np.uint64)
@@ -113,7 +109,7 @@ class InverseState:
         self._counts = dict.fromkeys(
             ("updates", "rank2_updates", "entries", "resets", "nrows_max"), 0
         )
-        if bootstrap:
+        if A.matrix.data.any():
             # determinant bootstrap: replay the initial edges through the
             # update rule so det is always maintained by the product formula;
             # an entry whose transpose is present too goes in as one pair

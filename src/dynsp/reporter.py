@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import mat_mul_mod, min_degree_arr, mul_mod, rand_unit
-from .graph import DynamicGraph
+from .graph import DeleteEdge, DynamicGraph, IllegalUpdate, InsertEdge
 from .inverse import DEFAULT_KAPPA, InverseState
 from .polymat import encode
 from .ring import FieldParams
@@ -145,14 +145,12 @@ class PathReporter:
             host.dinv_update(u, v, delta(u, v, present), delta(v, u, present))
 
     def apply(self, ev) -> None:
-        from .graph import DeleteEdge, InsertEdge
-
         if isinstance(ev, InsertEdge):
             self.pr_insert(ev.u, ev.v)
         elif isinstance(ev, DeleteEdge):
             self.pr_delete(ev.u, ev.v)
         else:
-            raise TypeError(f"not an edge event: {ev!r}")
+            raise IllegalUpdate(f"not an edge event: {ev!r}")
 
     # ---- queries -----------------------------------------------------------
 
@@ -161,6 +159,11 @@ class PathReporter:
             return 0
         d = int(min_degree_arr(self.host._query_raw(i, j)))
         return d if d <= self.D else BEYOND
+
+    def dist(self, i: int, j: int) -> float:
+        """The distance from i to j; inf beyond D."""
+        d = self.pr_dist(i, j)
+        return math.inf if d is BEYOND else float(d)
 
     def dist_matrix(self) -> np.ndarray:
         """min-degrees of the full inverse; D+1 encodes beyond-D (test/apsp hook)."""
@@ -199,9 +202,16 @@ class PathReporter:
         return self._step(col, i, j)
 
     def pr_path(self, i: int, j: int) -> list[int]:
+        path = self.path(i, j)
+        if path is None:
+            raise ValueError(f"pr_path needs dist <= D for ({i}, {j})")
+        return path
+
+    def path(self, i: int, j: int):
+        """A shortest i-j path; None beyond D."""
         col = self._column(j)
         if col[i] > self.D:
-            raise ValueError(f"pr_path needs dist <= D for ({i}, {j})")
+            return None
         path = [i]
         while path[-1] != j:
             path.append(self._step(col, path[-1], j))

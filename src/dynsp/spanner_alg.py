@@ -37,7 +37,7 @@ from collections import deque
 from fractions import Fraction
 
 from ._kernels import derive_seed
-from .graph import DynamicGraph, InsertEdge, apply_update, bfs_dist_bounded
+from .graph import DynamicGraph, InsertEdge, apply_update, bfs_dist, bfs_dist_bounded, graph_of
 from .reporter import BEYOND, NoWitnessFound, PathReporter
 from .spanner_comb import sample_levels
 
@@ -145,9 +145,7 @@ class AlgSpannerState:
     def _init_helper(self) -> None:
         """G~ from scratch, and its graph."""
         self.helper = greedy_spanner(self.g, self.helper_stretch)
-        self._helper_g = DynamicGraph(self.g.n, directed=False)
-        for u, v in self.helper:
-            self._helper_g.insert_edge(u, v)
+        self._helper_g = graph_of(self.g.n, self.helper)
 
     def _init_everything(self) -> None:
         self._resample()
@@ -306,6 +304,16 @@ class AlgSpannerState:
         self._rebuild()
         return set(self.H)
 
+    def apply(self, ev) -> None:
+        self.alg_update(ev)
+
+    def edges(self) -> set[tuple[int, int]]:
+        return set(self.H)
+
+    def dist(self, u: int, v: int) -> float:
+        """The distance from u to v in the current spanner H."""
+        return bfs_dist(graph_of(self.g.n, self.H), u)[v]
+
     def alg_active(self, level: int) -> set[int]:
         return {
             v
@@ -328,9 +336,6 @@ class AlgSpannerState:
             "fallback_pairs": len(self.fallback_pairs),
         }
 
-    def snapshot(self) -> tuple[set, int]:
-        return set(self.H), self.beta_certificate
-
     def edge_list_text(self) -> str:
         lines = [f"# spanner |H|={len(self.H)} beta={self.beta_certificate}"]
         lines += [f"{u} {v}" for u, v in sorted(self.H)]
@@ -338,11 +343,7 @@ class AlgSpannerState:
 
     def brute_force_active(self) -> list[bool]:
         """The activeness predicate evaluated directly (test oracle)."""
-        helper_g = DynamicGraph(self.g.n, directed=False)
-        for u, v in self.helper:
-            helper_g.insert_edge(u, v)
-        from .graph import bfs_dist
-
+        helper_g = graph_of(self.g.n, self.helper)
         dist_from = [bfs_dist(helper_g, a2) for a2 in range(self.g.n)]
         active = [True] * self.g.n
         for x in range(self.g.n):
@@ -355,15 +356,3 @@ class AlgSpannerState:
                 if d != math.inf and Fraction(int(d)) <= Fraction(self.c_sum(l, j), 4):
                     active[x] = False
         return active
-
-
-def alg_init(g, eps, kappa=0.529, seed=0, **overrides) -> AlgSpannerState:
-    return AlgSpannerState(g, eps, kappa, seed, **overrides)
-
-
-def alg_update(st: AlgSpannerState, ev):
-    return st.alg_update(ev)
-
-
-def alg_active(st: AlgSpannerState, level: int):
-    return st.alg_active(level)

@@ -32,7 +32,15 @@ import numpy as np
 
 from ._kernels import derive_seed
 from .estree import DECREMENTAL, INCREMENTAL, EsTree, ModeViolation
-from .graph import DeleteEdge, DynamicGraph, InsertEdge, apply_update, bfs_dist_bounded
+from .graph import (
+    DeleteEdge,
+    DynamicGraph,
+    InsertEdge,
+    apply_update,
+    bfs_dist,
+    bfs_dist_bounded,
+    graph_of,
+)
 
 REBUILD = "rebuild"
 
@@ -234,25 +242,13 @@ class SpannerState:
         return "\n".join(lines) + "\n"
 
 
-def sp_init(g, eps, seed, mode, k=None) -> SpannerState:
-    return SpannerState(g, eps, seed, mode, k=k)
-
-
-def sp_update(st: SpannerState, ev) -> dict:
-    return st.sp_update(ev)
-
-
-def sp_current(st: SpannerState):
-    return st.sp_current()
-
-
 def sp_rebuild_update(g, eps, seed, k=None) -> SpannerState:
     """Fully dynamic variant: one static construction on the current graph."""
     return SpannerState(g, eps, seed, REBUILD, k=k)
 
 
 class RebuildSpanner:
-    """Fully dynamic provider that reruns the static construction per update.
+    """Fully dynamic spanner that reruns the static construction per update.
 
     Rebuilds lazily at snapshot time: the spanner handed out is
     identical to rebuilding eagerly after every update, but updates
@@ -287,7 +283,8 @@ class RebuildSpanner:
         return set(self._ensure().H)
 
     def subgraph(self) -> DynamicGraph:
-        h = DynamicGraph(self.g.n, directed=False)
-        for u, v in self.edges():
-            h.insert_edge(u, v)
-        return h
+        return graph_of(self.g.n, self.edges())
+
+    def dist(self, u: int, v: int) -> float:
+        """The distance from u to v in the current spanner."""
+        return bfs_dist(self.subgraph(), u)[v]

@@ -18,7 +18,7 @@ import math
 from collections import deque
 
 from .apsp import ApproxApsp
-from .graph import DynamicGraph
+from .graph import AddTerminal, DynamicGraph, RemoveTerminal
 
 INF = math.inf
 
@@ -112,6 +112,18 @@ class SteinerState:
         self.tree = self._rebuild_tree()
         return self.tree
 
+    def apply(self, ev) -> SteinerTree:
+        """One script event: a terminal change or an edge update."""
+        if isinstance(ev, AddTerminal):
+            return self.steiner_add_terminal(ev.v)
+        if isinstance(ev, RemoveTerminal):
+            return self.steiner_remove_terminal(ev.v)
+        return self.steiner_edge_update(ev)
+
+    def dist(self, u: int, v: int) -> float:
+        """The provider's distance estimate."""
+        return self.provider.approx_dist(u, v)
+
     # ---- construction ------------------------------------------------------
 
     def _terminal_groups(self) -> list[list[int]]:
@@ -188,14 +200,3 @@ class SteinerState:
         )
         return SteinerTree(frozenset(parent), edges)
 
-
-def steiner_edge_update(st: SteinerState, ev) -> SteinerTree:
-    return st.steiner_edge_update(ev)
-
-
-def steiner_add_terminal(st: SteinerState, v: int) -> SteinerTree:
-    return st.steiner_add_terminal(v)
-
-
-def steiner_remove_terminal(st: SteinerState, v: int) -> SteinerTree:
-    return st.steiner_remove_terminal(v)

@@ -24,7 +24,6 @@ from dynsp.estree import DECREMENTAL, INCREMENTAL
 from dynsp.gadgets import (
     BfsProvider,
     OuMvInstance,
-    SpannerBfsProvider,
     gen_kcycle,
     gen_oumv_decremental,
     gen_oumv_fully,
@@ -43,15 +42,9 @@ from dynsp.inverse import InverseState
 from dynsp.polymat import PolyMatrix, encode, series_inverse
 from dynsp.reporter import BEYOND, NoWitnessFound, PathReporter
 from dynsp.ring import FieldParams
-from dynsp.spanner_alg import alg_init, alg_update, greedy_spanner
-from dynsp.spanner_comb import sp_init
-from dynsp.steiner import (
-    Disconnected,
-    SteinerState,
-    steiner_add_terminal,
-    steiner_edge_update,
-    steiner_remove_terminal,
-)
+from dynsp.spanner_alg import AlgSpannerState, greedy_spanner
+from dynsp.spanner_comb import RebuildSpanner, SpannerState
+from dynsp.steiner import Disconnected, SteinerState
 
 INF = math.inf
 P61 = (1 << 61) - 1
@@ -347,7 +340,7 @@ def test_05_combinatorial_spanner_decremental_and_incremental():
     doomed = rng.sample(sorted(base.edges()), 500)
 
     g = base.copy()
-    st = sp_init(g, eps=1, seed=52, mode=DECREMENTAL, k=2)
+    st = SpannerState(g, eps=1, seed=52, mode=DECREMENTAL, k=2)
     _check_comb_state(st, g)
     for e in doomed:
         st.sp_update(DeleteEdge(*e))
@@ -356,7 +349,7 @@ def test_05_combinatorial_spanner_decremental_and_incremental():
     g2 = base.copy()
     for e in doomed:
         g2.delete_edge(*e)
-    st2 = sp_init(g2, eps=1, seed=53, mode=INCREMENTAL, k=2)
+    st2 = SpannerState(g2, eps=1, seed=53, mode=INCREMENTAL, k=2)
     _check_comb_state(st2, g2)
     for e in reversed(doomed):
         st2.sp_update(InsertEdge(*e))
@@ -371,7 +364,7 @@ def test_06_algebraic_spanner_certificate_and_activeness():
     t0 = time.time()
     g = gnp_graph(128, 0.15, 60)
     rng = random.Random(61)
-    st = alg_init(g, eps=1, kappa=0.5, seed=62, k=2, b=5)
+    st = AlgSpannerState(g, eps=1, kappa=0.5, seed=62, k=2, b=5)
     slack = float(1 + 20 * 3 * Fraction(1, 20 * 3))
 
     def check():
@@ -386,7 +379,7 @@ def test_06_algebraic_spanner_certificate_and_activeness():
 
     check()
     for ev in mixed_events(st.g.copy(), rng, 200):
-        alg_update(st, ev)
+        st.alg_update(ev)
         check()
     print(f"\nalgebraic spanner: {time.time() - t0:.1f}s")
 
@@ -454,20 +447,20 @@ def test_08_steiner_weight_stays_near_optimal():
         for ev in mixed_events(g.copy(), rng, 3):
             apply_update(g, ev)
             try:
-                steiner_edge_update(st, ev)
+                st.steiner_edge_update(ev)
             except Disconnected:
                 assert opt_steiner(g, st.S) == INF
                 continue
             _check_steiner(st, g)
         spare = [v for v in range(n) if v not in st.S]
         try:
-            steiner_add_terminal(st, rng.choice(spare))
+            st.steiner_add_terminal(rng.choice(spare))
             _check_steiner(st, g)
         except Disconnected:
             assert opt_steiner(g, st.S) == INF
         if len(st.S) > 1:
             try:
-                steiner_remove_terminal(st, rng.choice(sorted(st.S)))
+                st.steiner_remove_terminal(rng.choice(sorted(st.S)))
                 _check_steiner(st, g)
             except Disconnected:
                 assert opt_steiner(g, st.S) == INF
@@ -535,8 +528,6 @@ def test_09_gadget_replay_reproduces_expected_bits():
 
 def test_10_spanner_backed_harness_recovers_every_bit():
     t0 = time.time()
-    from dynsp.spanner_comb import RebuildSpanner
-
     eps = 0.5
     beta = RebuildSpanner(DynamicGraph(4), eps, 0, k=0).beta_certificate
     for seed in range(5):
@@ -554,7 +545,7 @@ def test_10_spanner_backed_harness_recovers_every_bit():
         )
         gs = gen_oumv_fully(OuMvInstance(M, pairs), 0.5, beta)
         report = harness_run(
-            gs, lambda g: SpannerBfsProvider(g, eps, seed=seed, k=0)
+            gs, lambda g: RebuildSpanner(g, eps, seed, k=0)
         )
         assert report.mismatches == []
         assert report.bits == gs.expected_bits

@@ -140,3 +140,18 @@ def test_default_degree_bound_absorbs_beta():
     g = path_graph(12)
     aa = ApproxApsp(g, eps=1, seed=9, spanner_k=0)
     assert aa.D == min(12, math.ceil(2 * aa.spanner.beta_certificate / 1))
+
+
+def test_protocol_reads_agree_with_the_named_queries():
+    g = path_graph(14)
+    g.delete_edge(12, 13)
+    exact = HittingSetApsp(g.copy(), 4, seed=2)
+    approx = ApproxApsp(g.copy(), eps=1, seed=3, D=4, spanner_k=1)
+    for st, dist, path in (
+        (exact, exact.exact_dist, exact.exact_path),
+        (approx, approx.approx_dist, approx.approx_path),
+    ):
+        assert st.dist(0, 9) == dist(0, 9) and st.path(0, 9) == path(0, 9)
+        assert st.dist(0, 13) == INF and st.path(0, 13) is None
+        st.apply(InsertEdge(12, 13))
+        assert st.dist(13, 0) == dist(13, 0) and st.path(13, 0) == path(13, 0)

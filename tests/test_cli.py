@@ -1,11 +1,13 @@
 """Command-line interface: determinism, exit codes, CSV shapes."""
 
+import hashlib
 import json
 
 import pytest
 
 from dynsp.apsp import StitchFailure
 from dynsp.cli import CSV_HEADER, STRUCTURES, main
+from dynsp.gadgets import BfsProvider
 from dynsp.reporter import NoWitnessFound
 
 
@@ -154,11 +156,21 @@ def test_kcycle_gen_writes_one_file_per_repetition(tmp_path):
 
 def test_verify_fails_when_the_structure_answers_wrong(tmp_path, monkeypatch, capsys):
     script = gen_random(tmp_path)
-    from dynsp import cli
-
-    monkeypatch.setattr(cli._BfsAdapter, "dist", lambda self, u, v: 0.0)
+    monkeypatch.setattr(BfsProvider, "dist", lambda self, u, v: 0.0)
     assert main(["verify", "--structure", "bfs-oracle", "--script", str(script)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_checks_path_lengths_against_the_certificate(tmp_path, monkeypatch, capsys):
+    script = tmp_path / "p.txt"
+    script.write_text("N 5 0\nE 0 1\nE 1 2\nE 2 3\nE 0 4\nE 4 3\nQP 0 3\n")
+    argv = ["verify", "--structure", "bfs-oracle", "--script", str(script)]
+    monkeypatch.setattr(BfsProvider, "path", lambda self, u, v: [0, 1, 2, 3])
+    assert main(argv) == 1
+    assert capsys.readouterr().out == "FAIL at event 0: path length 3, oracle 2\n"
+    monkeypatch.setattr(BfsProvider, "path", lambda self, u, v: None)
+    assert main(argv) == 1
+    assert capsys.readouterr().out == "FAIL at event 0: path length inf, oracle 2\n"
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -166,6 +178,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["verify", "--structure", "bfs-oracle", "--script", str(tmp_path / "missing.txt")]) == 2
     assert main(["gen", "kcycle", "--graph", str(tmp_path / "missing.edges"), "--out", str(tmp_path / "o")]) == 2
     capsys.readouterr()
+    assert main(["gen", "kcycle", "--n", "24", "--k", "3", "--out", str(tmp_path / "kc")]) == 2
+    assert capsys.readouterr().err == "error: gen kcycle needs --graph\n"
 
 
 @pytest.mark.parametrize("command", ["run", "verify", "bench"])
@@ -206,13 +220,81 @@ def test_library_failure_exits_3_with_one_line(tmp_path, capsys, command):
     ids=["NoWitnessFound", "StitchFailure"],
 )
 def test_witness_failures_exit_3(tmp_path, capsys, monkeypatch, exc):
-    from dynsp import cli
-
     def fail(self, u, v):
         raise exc
 
     script = gen_random(tmp_path)
-    monkeypatch.setattr(cli._BfsAdapter, "dist", fail)
+    monkeypatch.setattr(BfsProvider, "dist", fail)
     assert main(["run", "--structure", "bfs-oracle", "--script", str(script)]) == 3
     err = capsys.readouterr().err
     assert err == f"error: {type(exc).__name__}: {exc}\n"
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_every_structure_verifies_clean(tmp_path, structure, capsys):
+    script = gen_random(tmp_path, n=14, updates=16)
+    argv = ["verify", "--structure", structure, "--script", str(script)]
+    assert main(argv + ["--D", "2", "--k", "1"]) == 0
+    assert capsys.readouterr().out == "PASS (32 queries checked)\n"
+
+
+# sha256 of `dynsp run` CSV on one generated script (and, for steiner, on
+# a script with terminal events); a refactor must keep these byte-identical
+RUN_CSV_SHA256 = {
+    "exact-apsp": "026c415351dfd01bc913c57dbe9b6545819985f28aa406caacc7f2c746308f84",
+    "approx-apsp": "dbaa3f79aedcf9ad54a00d8e014fce8ff6ade7b3ed7de427fd6e55ad4a30e1e7",
+    "path-reporter": "1f4af46cd9e708c45dc5808cb1c91a480a671fe08df858d35068c198ca74e70c",
+    "spanner-comb": "7a48374030fed90091693d17e9ca7d0fa0192069d515436aea23ed009572163e",
+    "spanner-alg": "863465017804ff8b39dcac3de8ac70620a43330bc832ead132b9781b9a967aa4",
+    "steiner": "bdbffdefba9aab987a78f19208a9abcbdf8af557ec54bb1a80f31990581d5edb",
+    "bfs-oracle": "026c415351dfd01bc913c57dbe9b6545819985f28aa406caacc7f2c746308f84",
+}
+
+TERMINAL_SCRIPT = (
+    "N 8 0\nE 0 1\nE 1 2\nE 2 3\nE 3 4\nE 4 5\nE 5 6\nE 6 7\nE 0 7\n"
+    "T+ 0\nT+ 4\nQD 0 4\nI 2 6\nQD 0 4\nQP 1 5\nT+ 6\nPH 0\nD 3 4\nT- 4\n"
+    "QD 0 6\nI 0 4\nT+ 3\nQD 3 7\n"
+)
+STEINER_TERMINAL_CSV_SHA256 = "bace1e0672f1de59c77e28360747bd73232ffe5553a0a5ebd4d5ba29b67c8a00"
+
+
+def run_csv_sha256(tmp_path, structure, script, *extra):
+    out = tmp_path / f"{structure}.csv"
+    argv = ["run", "--structure", structure, "--script", str(script), "--out", str(out)]
+    assert main(argv + list(extra)) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_run_csv_matches_the_recorded_hashes(tmp_path):
+    script = gen_random(tmp_path, n=16, updates=24, seed=5)
+    got = {
+        st: run_csv_sha256(tmp_path, st, script, "--D", "3", "--k", "1")
+        for st in STRUCTURES
+    }
+    assert got == RUN_CSV_SHA256
+    terminal = tmp_path / "terminal.txt"
+    terminal.write_text(TERMINAL_SCRIPT)
+    assert run_csv_sha256(tmp_path, "steiner", terminal) == STEINER_TERMINAL_CSV_SHA256
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("structure", [s for s in STRUCTURES if s != "steiner"])
+def test_terminal_events_on_edge_only_structures_exit_2(tmp_path, capsys, command, structure):
+    script = tmp_path / "terminal.txt"
+    script.write_text(TERMINAL_SCRIPT)
+    assert main([command, "--structure", structure, "--script", str(script)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: not an edge event: AddTerminal(v=0)\n"
+    assert captured.out == ""
+
+
+def test_directed_script_paths_follow_arcs(tmp_path, capsys):
+    script = tmp_path / "directed.txt"
+    script.write_text("N 4 1\nE 0 1\nE 1 2\nE 2 0\nE 0 3\nQP 1 3\nQD 1 3\nQP 3 0\nD 2 0\nQP 1 3\n")
+    rows = []
+    for structure in ("bfs-oracle", "exact-apsp", "path-reporter"):
+        assert main(["verify", "--structure", structure, "--script", str(script)]) == 0
+        assert main(["run", "--structure", structure, "--script", str(script)]) == 0
+        rows.append(capsys.readouterr().out.splitlines()[-5:])
+    assert rows[0] == rows[1] == rows[2]
+    assert rows[0][0] == "0,path,1,3,1-2-0-3,"

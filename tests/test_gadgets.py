@@ -9,7 +9,6 @@ from dynsp.gadgets import (
     BfsProvider,
     OuMvInstance,
     ParamDomain,
-    SpannerBfsProvider,
     gen_kcycle,
     gen_oumv_decremental,
     gen_oumv_fully,
@@ -18,6 +17,7 @@ from dynsp.gadgets import (
     kcycle_exists,
 )
 from dynsp.graph import DynamicGraph
+from dynsp.spanner_comb import RebuildSpanner
 
 
 def random_instance(n, rng, phases=None):
@@ -164,11 +164,9 @@ def test_infinite_provider_misses_exactly_the_ones():
 
 
 def test_spanner_provider_with_dominating_parameters():
-    from dynsp.spanner_comb import RebuildSpanner
-
     beta = RebuildSpanner(DynamicGraph(4), 0.5, 0, k=0).beta_certificate
     rng = random.Random(6)
     inst = random_instance(2, rng)
     gs = gen_oumv_fully(inst, 0.5, beta)
-    report = harness_run(gs, lambda g: SpannerBfsProvider(g, 0.5, seed=1, k=0))
+    report = harness_run(gs, lambda g: RebuildSpanner(g, 0.5, 1, k=0))
     assert report.mismatches == []

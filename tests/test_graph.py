@@ -19,6 +19,8 @@ from dynsp.graph import (
     apply_update,
     bfs_dist,
     bfs_dist_bounded,
+    bfs_path,
+    graph_of,
     parse_script,
     serialize_script,
     validate_path,
@@ -129,3 +131,16 @@ def test_apply_update_dispatch():
     assert not g.has_edge(0, 1)
     with pytest.raises(IllegalUpdate):
         apply_update(g, DistQuery(0, 1))
+
+
+def test_bfs_path_steps_to_the_smallest_index_closer_neighbour():
+    g = graph_of(6, [(0, 2), (0, 1), (1, 3), (2, 3), (3, 4)])
+    assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]
+    assert bfs_path(g, 0, 4) == [0, 1, 3, 4]
+    assert bfs_path(g, 4, 0) == [4, 3, 1, 0]
+    assert bfs_path(g, 2, 2) == [2]
+    assert bfs_path(g, 0, 5) is None
+    # directed: follow arcs only, towards the target
+    d = graph_of(4, [(0, 1), (1, 2), (2, 0), (0, 3)], directed=True)
+    assert bfs_path(d, 1, 3) == [1, 2, 0, 3]
+    assert bfs_path(d, 3, 0) is None

@@ -7,7 +7,15 @@ import random
 import numpy as np
 import pytest
 
-from dynsp.graph import DynamicGraph, all_pairs_dist, validate_path
+from dynsp.graph import (
+    AddTerminal,
+    DynamicGraph,
+    IllegalUpdate,
+    InsertEdge,
+    all_pairs_dist,
+    graph_of,
+    validate_path,
+)
 from dynsp.product import ProductState
 from dynsp.reporter import BEYOND, NoWitnessFound, PathReporter
 from dynsp.ring import FieldParams
@@ -162,3 +170,16 @@ def test_reporter_owns_both_orientations():
     assert pr.pr_dist(0, 1) == 1 and pr.pr_dist(1, 0) == 1
     pr.pr_delete(0, 1)
     assert pr.pr_dist(0, 1) is BEYOND
+
+
+def test_protocol_reads_and_non_edge_events():
+    g = graph_of(6, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    pr = PathReporter(g, 3, seed=4)
+    assert pr.dist(0, 3) == 3.0 and pr.path(0, 3) == [0, 1, 2, 3]
+    assert pr.dist(0, 4) == math.inf and pr.path(0, 4) is None  # beyond D
+    assert pr.dist(0, 5) == math.inf and pr.path(0, 5) is None  # unreachable
+    with pytest.raises(IllegalUpdate):
+        pr.apply(AddTerminal(2))
+    assert sorted(g.edges()) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    pr.apply(InsertEdge(0, 4))
+    assert pr.dist(0, 4) == 1.0 and pr.path(3, 0) == [3, 4, 0]

@@ -17,9 +17,10 @@ from dynsp.graph import (
     all_pairs_dist,
     bfs_dist,
     bfs_dist_bounded,
+    graph_of,
 )
 from dynsp.reporter import BEYOND, NoWitnessFound, PathReporter
-from dynsp.spanner_alg import AlgSpannerState, alg_active, alg_init, alg_update, greedy_spanner
+from dynsp.spanner_alg import AlgSpannerState, greedy_spanner
 
 
 def random_graph(n, m, seed):
@@ -87,10 +88,10 @@ def test_greedy_helper_spanner_properties():
 
 def test_mixed_updates_keep_certificate_and_activeness():
     g, rng = random_graph(32, 70, seed=2)
-    st = alg_init(g, eps=1, kappa=0.5, seed=3, k=2, b=3)
+    st = AlgSpannerState(g, eps=1, kappa=0.5, seed=3, k=2, b=3)
     check_state(st, eps=1)
     for step, ev in enumerate(mixed_events(g, rng, 16)):
-        alg_update(st, ev)
+        st.alg_update(ev)
         if step % 4 == 3:
             check_state(st, eps=1)
 
@@ -100,7 +101,7 @@ def test_high_level_paths_come_from_the_algebraic_core():
     # branch must fire and still produce exact shortest paths (audited by
     # check_state's stretch test above; here we check the plumbing knobs)
     g, _ = random_graph(40, 90, seed=4)
-    st = alg_init(g, eps=1, kappa=0.5, seed=5, k=2, b=6)
+    st = AlgSpannerState(g, eps=1, kappa=0.5, seed=5, k=2, b=6)
     assert st.gamma == 1
     assert st.pair_threshold(2) > 1
     assert st.depth >= math.ceil(st.pair_threshold(2))
@@ -109,10 +110,10 @@ def test_high_level_paths_come_from_the_algebraic_core():
 
 def test_level_sampling_and_active_hooks():
     g, _ = random_graph(26, 40, seed=6)
-    st = alg_init(g, eps=1, kappa=0.5, seed=7, k=2, b=3)
+    st = AlgSpannerState(g, eps=1, kappa=0.5, seed=7, k=2, b=3)
     seen = set()
     for level in range(st.k + 1):
-        members = alg_active(st, level)
+        members = st.alg_active(level)
         for v in members:
             assert st.level[v] == level and st.active[v]
         seen |= members
@@ -123,7 +124,7 @@ def test_level_sampling_and_active_hooks():
 
 def test_threshold_arithmetic_is_exact():
     g = DynamicGraph(8)
-    st = alg_init(g, eps=1, kappa=0.5, seed=0, k=2, b=3)
+    st = AlgSpannerState(g, eps=1, kappa=0.5, seed=0, k=2, b=3)
     assert st.c_sum(0, 2) == 3 + 9
     assert st.block_threshold(0, 2) == Fraction(12, 4)
     assert st.beta_certificate == 27
@@ -132,16 +133,16 @@ def test_threshold_arithmetic_is_exact():
 def test_parameter_domains():
     g = DynamicGraph(6)
     with pytest.raises(ValueError):
-        alg_init(g, eps=0, kappa=0.5, seed=0)
+        AlgSpannerState(g, eps=0, kappa=0.5, seed=0)
     with pytest.raises(ValueError):
-        alg_init(g, eps=1, kappa=0.7, seed=0)
+        AlgSpannerState(g, eps=1, kappa=0.7, seed=0)
     with pytest.raises(ValueError):
-        alg_init(DynamicGraph(6, directed=True), eps=1, kappa=0.5, seed=0)
+        AlgSpannerState(DynamicGraph(6, directed=True), eps=1, kappa=0.5, seed=0)
 
 
 def test_edgeless_graph_has_empty_spanner():
     g = DynamicGraph(9)
-    st = alg_init(g, eps=1, kappa=0.5, seed=1, k=2, b=3)
+    st = AlgSpannerState(g, eps=1, kappa=0.5, seed=1, k=2, b=3)
     assert st.H == set()
     # every sampled vertex is active: nothing is reachable to block it
     assert all(st.active)
@@ -150,7 +151,7 @@ def test_edgeless_graph_has_empty_spanner():
 def test_single_edge_is_kept():
     g = DynamicGraph(5)
     g.insert_edge(1, 3)
-    st = alg_init(g, eps=1, kappa=0.5, seed=2, k=1, b=3)
+    st = AlgSpannerState(g, eps=1, kappa=0.5, seed=2, k=1, b=3)
     assert (1, 3) in st.H
 
 
@@ -489,3 +490,15 @@ def test_cli_run_csv_is_byte_identical_to_the_full_rebuild(tmp_path, monkeypatch
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "ref.csv").read_bytes()
     assert hashlib.sha256(new).hexdigest() == SPANNER_ALG_CSV_SHA256
+
+
+def test_protocol_reads_the_spanner_h():
+    g, rng = random_graph(24, 50, seed=21)
+    st = AlgSpannerState(g, eps=1, kappa=0.5, seed=22, k=2, b=3)
+    for ev in mixed_events(g, rng, 4):
+        st.apply(ev)
+        assert st.edges() == st.H and st.edges() is not st.H
+        h = all_pairs_dist(graph_of(24, st.H))
+        for _ in range(10):
+            u, v = rng.sample(range(24), 2)
+            assert st.dist(u, v) == h[u][v]

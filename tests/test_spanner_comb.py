@@ -20,7 +20,6 @@ from dynsp.spanner_comb import (
     RebuildSpanner,
     SpannerState,
     sample_levels,
-    sp_init,
     sp_rebuild_update,
 )
 from dynsp.spanner_alg import AlgSpannerState
@@ -57,7 +56,7 @@ def check_state(st: SpannerState):
 
 def test_decremental_maintenance_matches_scratch():
     g, rng = random_graph(40, 90, seed=1)
-    st = sp_init(g, eps=1, seed=2, mode=DECREMENTAL, k=2)
+    st = SpannerState(g, eps=1, seed=2, mode=DECREMENTAL, k=2)
     check_state(st)
     edges = sorted(g.edges())
     rng.shuffle(edges)
@@ -71,7 +70,7 @@ def test_decremental_maintenance_matches_scratch():
 def test_incremental_maintenance_matches_scratch():
     g = DynamicGraph(36)
     rng = random.Random(3)
-    st = sp_init(g, eps=1, seed=4, mode=INCREMENTAL, k=2)
+    st = SpannerState(g, eps=1, seed=4, mode=INCREMENTAL, k=2)
     present = set()
     for step in range(60):
         while True:
@@ -87,10 +86,10 @@ def test_incremental_maintenance_matches_scratch():
 
 def test_mode_violations():
     g, _ = random_graph(10, 15, seed=5)
-    dec = sp_init(g.copy(), eps=1, seed=0, mode=DECREMENTAL, k=1)
+    dec = SpannerState(g.copy(), eps=1, seed=0, mode=DECREMENTAL, k=1)
     with pytest.raises(ModeViolation):
         dec.sp_update(InsertEdge(0, 9))
-    reb = sp_init(g.copy(), eps=1, seed=0, mode=REBUILD, k=1)
+    reb = SpannerState(g.copy(), eps=1, seed=0, mode=REBUILD, k=1)
     with pytest.raises(ModeViolation):
         reb.sp_update(DeleteEdge(*sorted(g.edges())[0]))
 
@@ -98,16 +97,16 @@ def test_mode_violations():
 def test_parameter_domains():
     g = DynamicGraph(4)
     with pytest.raises(ValueError):
-        sp_init(g, eps=0, seed=0, mode=DECREMENTAL)
+        SpannerState(g, eps=0, seed=0, mode=DECREMENTAL)
     with pytest.raises(ValueError):
-        sp_init(g, eps=2, seed=0, mode=DECREMENTAL)
+        SpannerState(g, eps=2, seed=0, mode=DECREMENTAL)
     with pytest.raises(ValueError):
-        sp_init(DynamicGraph(4, directed=True), eps=1, seed=0, mode=DECREMENTAL)
+        SpannerState(DynamicGraph(4, directed=True), eps=1, seed=0, mode=DECREMENTAL)
 
 
 def test_thresholds_are_exact_rationals():
     g = DynamicGraph(8)
-    st = sp_init(g, eps=1, seed=1, mode=DECREMENTAL, k=2)
+    st = SpannerState(g, eps=1, seed=1, mode=DECREMENTAL, k=2)
     assert st.eps_prime == Fraction(1, 8)
     assert st.threshold(2, 0) == Fraction(512 - 8, 1)
     assert st.beta_certificate == 2 * 8**3
@@ -138,7 +137,7 @@ def test_tree_input_never_underestimates():
     g = DynamicGraph(15)
     for v in range(1, 15):
         g.insert_edge(v, (v - 1) // 2)  # binary tree
-    st = sp_init(g, eps=1, seed=8, mode=DECREMENTAL, k=1)
+    st = SpannerState(g, eps=1, seed=8, mode=DECREMENTAL, k=1)
     h = DynamicGraph(15)
     for u, v in st.H:
         h.insert_edge(u, v)
@@ -151,7 +150,7 @@ def test_tree_input_never_underestimates():
 
 def test_snapshot_serialization():
     g, _ = random_graph(12, 20, seed=9)
-    st = sp_init(g, eps=1, seed=1, mode=DECREMENTAL, k=1)
+    st = SpannerState(g, eps=1, seed=1, mode=DECREMENTAL, k=1)
     text = st.edge_list_text()
     lines = text.strip().splitlines()
     assert lines[0].startswith("#")
@@ -188,3 +187,15 @@ def test_shared_level_sampler_matches_the_per_spanner_copies(n, k):
     assert comb.level == _nested_levels(g.n, k, derive_seed(5, 0x5E))
     alg = AlgSpannerState(g.copy(), 1, kappa=0.5, seed=5, k=k, b=3)
     assert alg.level == _nested_levels(g.n, k, derive_seed(5, 0x6A, 0))
+
+
+def test_rebuild_spanner_distances_are_bfs_on_its_edges():
+    g, rng = random_graph(20, 40, seed=10)
+    sp = RebuildSpanner(g, 1, seed=11, k=1)
+    for e in sorted(g.edges())[:5]:
+        sp.apply(DeleteEdge(*e))
+        h = all_pairs_dist(sp.subgraph())
+        assert sorted(sp.subgraph().edges()) == sorted(sp.edges())
+        for _ in range(10):
+            u, v = rng.sample(range(20), 2)
+            assert sp.dist(u, v) == h[u][v]

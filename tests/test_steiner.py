@@ -6,14 +6,18 @@ import random
 
 import pytest
 
-from dynsp.graph import DeleteEdge, DynamicGraph, InsertEdge, bfs_dist
+from dynsp.graph import (
+    AddTerminal,
+    DeleteEdge,
+    DynamicGraph,
+    InsertEdge,
+    RemoveTerminal,
+    bfs_dist,
+)
 from dynsp.steiner import (
     Disconnected,
     SteinerState,
     TerminalStateError,
-    steiner_add_terminal,
-    steiner_edge_update,
-    steiner_remove_terminal,
 )
 
 INF = math.inf
@@ -85,7 +89,7 @@ def test_random_instances_against_exhaustive_oracle(seed):
             g.insert_edge(u, v)
             ev = InsertEdge(u, v)
         try:
-            steiner_edge_update(st, ev)
+            st.steiner_edge_update(ev)
         except Disconnected:
             assert opt_steiner(g, st.S) == INF
             continue
@@ -123,18 +127,18 @@ def test_terminal_operations_on_a_path():
         return max(terminals) - min(terminals)
 
     for v in (9, 2, 12):
-        steiner_add_terminal(st, v)
+        st.steiner_add_terminal(v)
         terminals.append(v)
         assert st.tree.weight == span()
     # adding a vertex already on the tree costs nothing
-    steiner_add_terminal(st, 7)
+    st.steiner_add_terminal(7)
     terminals.append(7)
     assert st.tree.weight == span()
-    steiner_remove_terminal(st, 2)
+    st.steiner_remove_terminal(2)
     terminals.remove(2)
     assert st.tree.weight == span()
     while len(terminals) > 1:
-        steiner_remove_terminal(st, terminals.pop())
+        st.steiner_remove_terminal(terminals.pop())
     assert st.tree.weight == 0
 
 
@@ -165,3 +169,16 @@ def test_snapshot_serialization():
     st = SteinerState(g, [0, 2], eps=1, seed=0)
     text = st.tree.edge_list_text()
     assert text.splitlines()[0] == "# steiner weight=2"
+
+
+def test_apply_dispatches_script_events():
+    g = DynamicGraph(8)
+    for v in range(7):
+        g.insert_edge(v, v + 1)
+    st = SteinerState(g, [1], eps=1, seed=2)
+    assert st.apply(AddTerminal(6)).weight == 5
+    assert st.apply(InsertEdge(1, 6)).weight == 1
+    assert st.apply(AddTerminal(3)).weight == 3
+    assert st.apply(RemoveTerminal(1)).weight == 3
+    assert st.apply(DeleteEdge(1, 6)) is st.tree and st.tree.weight == 3
+    assert st.dist(3, 6) == st.provider.approx_dist(3, 6) == 3
