@@ -223,6 +223,22 @@ def mat_mul_mod(a, b, p, a_limbs=None):
     return _mat_mul_chunked(a_limbs, _limbs_f64(b, count), p)
 
 
+def mat_powers(r, k, p):
+    """r^0, ..., r^k mod p for a square uint64 r and k >= 1, stacked along a
+    last axis.
+
+    k - 1 chained products r r^(i-1); r is split into limbs once for all.
+    """
+    n = r.shape[0]
+    out = np.zeros((n, n, k + 1), dtype=np.uint64)
+    out[np.arange(n), np.arange(n), 0] = 1
+    r_limbs = _limbs_f64(r, _limb_count(p))
+    power = out[:, :, 1] = r
+    for i in range(2, k + 1):
+        power = out[:, :, i] = mat_mul_mod(r, power, p, r_limbs)
+    return out
+
+
 def conv_trunc(a, b, p):
     """Truncated convolution along the last axis (broadcasting leads)."""
     a = np.asarray(a, dtype=np.uint64)

@@ -326,7 +326,7 @@ def cmd_verify(args) -> int:
                         f"oracle {_fmt(want)}"
                     )
                     return 1
-            checked += 1
+                checked += 1
         elif not isinstance(ev, PhaseMark):
             st.apply(ev)
             if isinstance(ev, (InsertEdge, DeleteEdge)):

@@ -14,6 +14,14 @@ only the row-sparse matrix N changes, N <- N + (N U + U) B'.  Once
 reset_period = max(1, round(n^kappa)) oriented entries have changed
 since the last reset, T absorbs N (T <- T(I+N), N <- 0).
 
+Construction.  encode sets every edge entry of A to u r_ij, so A = u R
+for a scalar n x n matrix R, and M^-1 = sum_k u^k R^k: the degree-k
+coefficient of T is R^k, D chained scalar products.  The determinant
+follows from the traces s_k = tr(R^k) of the same powers, by Newton's
+identities: log det(I - uR) = -sum_k s_k u^k / k, so its coefficients
+satisfy k c_k = -sum_(i=1..k) s_i c_(k-i) with c_0 = 1.  Dividing by k
+needs D < p.  The state starts with N = 0 and no update made.
+
 Sign convention: callers pass the additive change applied to A; the
 negation for M = I - A happens here.  Every legal update has zero
 constant coefficient (edge entries carry a factor u), which keeps the
@@ -28,8 +36,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import add_mod, neg_mod, poly_mat_mul
-from .polymat import EncodedAdjacency, PolyMatrix
+from ._kernels import add_mod, mat_powers, neg_mod, poly_mat_mul
+from .polymat import EncodedAdjacency
 from .ring import TruncPoly, poly_inv, poly_mul, poly_neg
 
 DEFAULT_KAPPA = 0.529
@@ -63,6 +71,21 @@ def _neg_capacitance_inverse(C: np.ndarray, p: int):
     return np.array([[x.coeffs for x in row] for row in neg_cinv]), det
 
 
+def _det_from_power_traces(T: np.ndarray, p: int) -> np.ndarray:
+    """det(I - uR) mod u^(D+1), where T[:, :, k] = R^k.
+
+    Newton's identities k c_k = -sum_(i=1..k) s_i c_(k-i) on exact
+    integers, with s_i = tr(R^i) (a uint64 sum of n entries below p
+    could overflow); k c_k is divided by k, which needs D < p.
+    """
+    s = [sum(diag.tolist()) % p for diag in np.diagonal(T, axis1=0, axis2=1)]
+    c = [1]
+    for k in range(1, len(s)):
+        acc = sum(s[i] * c[k - i] for i in range(1, k + 1))
+        c.append(-acc * pow(k, -1, p) % p)
+    return np.array(c, dtype=np.uint64)
+
+
 class SubmatrixView:
     """Explicitly maintained M^-1 restricted to H x H (low-rank updates)."""
 
@@ -93,14 +116,14 @@ class InverseState:
         self.p = A.params.p
         self.n = A.n
         self.D = A.D
+        if not 1 <= self.D < self.p:
+            raise ValueError(f"need 1 <= D < p, got D = {self.D} and p = {self.p}")
         self.kappa = kappa
         self.reset_period = max(1, round(self.n**kappa))
-        dp1 = self.D + 1
-        self.T = PolyMatrix.identity(self.p, self.n, self.D).data
-        self.N = np.zeros((self.n, self.n, dp1), dtype=np.uint64)
+        self.T = mat_powers(A.matrix.data[:, :, 1], self.D, self.p)
+        self.N = np.zeros_like(self.T)
         self.nrows: list[int] = []
-        self.det = np.zeros(dp1, dtype=np.uint64)
-        self.det[0] = 1
+        self.det = _det_from_power_traces(self.T, self.p)
         self.updates_since_reset = 0
         self.update_serial = 0
         self._in_reset = False
@@ -109,17 +132,6 @@ class InverseState:
         self._counts = dict.fromkeys(
             ("updates", "rank2_updates", "entries", "resets", "nrows_max"), 0
         )
-        if A.matrix.data.any():
-            # determinant bootstrap: replay the initial edges through the
-            # update rule so det is always maintained by the product formula;
-            # an entry whose transpose is present too goes in as one pair
-            present = A.matrix.data.any(axis=2)
-            A.matrix.data[:] = 0
-            for i, j in np.argwhere(present).tolist():
-                paired = i != j and present[j, i]
-                if i < j or not paired:
-                    back = A.entry_delta(j, i, True) if paired else None
-                    self.dinv_update(i, j, A.entry_delta(i, j, True), back)
 
     # ---- registration ------------------------------------------------------
 

@@ -230,12 +230,27 @@ def test_witness_failures_exit_3(tmp_path, capsys, monkeypatch, exc):
     assert err == f"error: {type(exc).__name__}: {exc}\n"
 
 
+PATHLESS = {"spanner-comb", "spanner-alg", "steiner"}
+
+
 @pytest.mark.parametrize("structure", STRUCTURES)
 def test_every_structure_verifies_clean(tmp_path, structure, capsys):
+    # 16 distance and 16 path queries; path queries count where paths are reported
     script = gen_random(tmp_path, n=14, updates=16)
     argv = ["verify", "--structure", structure, "--script", str(script)]
     assert main(argv + ["--D", "2", "--k", "1"]) == 0
-    assert capsys.readouterr().out == "PASS (32 queries checked)\n"
+    checked = 16 if structure in PATHLESS else 32
+    assert capsys.readouterr().out == f"PASS ({checked} queries checked)\n"
+
+
+def test_verify_counts_only_the_queries_it_checked(tmp_path, capsys):
+    script = gen_random(tmp_path, n=20, updates=40)
+    text = script.read_text().splitlines()
+    assert sum(line.startswith("QD ") for line in text) == 40
+    assert sum(line.startswith("QP ") for line in text) == 40
+    argv = ["verify", "--structure", "spanner-comb", "--script", str(script)]
+    assert main(argv + ["--eps", "1.0", "--k", "1"]) == 0
+    assert capsys.readouterr().out == "PASS (40 queries checked)\n"
 
 
 # sha256 of `dynsp run` CSV on one generated script (and, for steiner, on

@@ -1,16 +1,18 @@
 """Dynamic inverse against from-scratch series inversion and exact
-fraction-free determinants; pair updates against two rank-1 updates."""
+fraction-free determinants; pair updates against two rank-1 updates;
+the closed-form set-up against replaying every initial edge."""
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynsp.graph import DynamicGraph
-from dynsp.inverse import InverseState, NonUnitPivot
+from dynsp.graph import DynamicGraph, graph_of
+from dynsp.inverse import DEFAULT_KAPPA, InverseState, NonUnitPivot
 from dynsp.polymat import PolyMatrix, encode, series_inverse
 from dynsp.product import ProductState
 from dynsp.reporter import PathReporter
@@ -277,14 +279,9 @@ def test_bootstrap_equals_edgeless_start_plus_inserts(directed):
     assert np.array_equal(boot.query_full(), grown.query_full())
     assert boot.det_poly() == grown.det_poly()
     assert np.array_equal(boot.A.matrix.data, grown.A.matrix.data)
-    # an entry whose transpose is present too goes in with it as one pair:
-    # every undirected edge, and each antiparallel pair of arcs
-    entries = g.edge_count * (1 if directed else 2)
-    pairs = sum(1 for u in range(10) for v in g.adj[u] if u < v and u in g.adj[v])
-    assert 0 < pairs and (directed or pairs == g.edge_count)
-    assert boot.stats()["rank2_updates"] == pairs
-    assert boot.stats()["updates"] == entries - pairs
-    assert boot.stats()["entries"] == entries
+    # the closed-form set-up makes no update
+    assert boot.stats() == dict.fromkeys(grown.stats(), 0)
+    assert boot.nrows == [] and not boot.N.any()
 
 
 @pytest.mark.parametrize("directed", [False, True])
@@ -313,9 +310,107 @@ def test_stats_repeat_exactly_on_one_seed():
 
     first = run()
     assert first == run()
-    assert first["updates"] == 30 + 25
+    assert first["updates"] == 25
     assert first["entries"] == 2 * first["updates"]
-    # a reset comes once the entries since the last one reach the period
+    # N starts empty after set-up, and a reset comes once the entries
+    # since the last one reach the period
     pairs_per_reset = math.ceil(round(20**0.529) / 2)
-    assert first["resets"] == first["updates"] // pairs_per_reset
+    assert first["resets"] == 25 // pairs_per_reset
     assert 2 <= first["nrows_max"] <= 2 * pairs_per_reset
+
+
+def _replayed(g, params, D, kappa):
+    """The set-up the closed form replaced, kept as its oracle: an edgeless
+    state, then every initial entry through dinv_update, resets included;
+    an entry whose transpose is present too goes in with it as one pair."""
+    st = InverseState(encode(DynamicGraph(g.n, g.directed), params, D), kappa)
+    present = encode(g, params, D).matrix.data.any(axis=2)
+    for i, j in np.argwhere(present).tolist():
+        paired = i != j and present[j, i]
+        if i < j or not paired:
+            back = st.A.entry_delta(j, i, True) if paired else None
+            st.dinv_update(i, j, st.A.entry_delta(i, j, True), back)
+    return st
+
+
+@given(
+    n=st.integers(2, 14),
+    D=st.integers(1, 10),
+    p=st.sampled_from([SMALL_P, DEFAULT_PRIME]),
+    directed=st.booleans(),
+    kappa=st.floats(0.0, 1.0),
+    data=st.data(),
+)
+@settings(max_examples=50, deadline=None)
+def test_closed_form_setup_equals_replayed_edges(n, D, p, directed, kappa, data):
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges")
+    stream = data.draw(st.lists(st.sampled_from(pairs), max_size=8), label="stream")
+    H = data.draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True), label="H")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    params = FieldParams(p=p, rng_seed=seed)
+    rng = random.Random(seed)
+    E = np.array(
+        [[[rng.randrange(p) for _ in range(D + 1)] for _ in range(n)] for _ in range(n)],
+        dtype=np.uint64,
+    )
+    sides = []
+    for replay in (False, True):
+        pr = PathReporter(graph_of(n, edges, directed), D, kappa, params=params)
+        if replay:
+            pr.host = _replayed(pr.g, params, D, kappa)
+        sides.append((pr, pr.host.register_submatrix(H), ProductState(pr.host, E)))
+    probes = [(i, (3 * i + 1) % n) for i in range(n)]
+    (closed, closed_view, closed_prod), (oracle, oracle_view, oracle_prod) = sides
+    assert closed.host.stats()["updates"] == 0
+
+    def check():
+        assert np.array_equal(closed.host.query_full(), oracle.host.query_full())
+        assert closed.host.det_poly() == oracle.host.det_poly()
+        assert np.array_equal(closed.dist_matrix(), oracle.dist_matrix())
+        assert np.array_equal(closed_view.cached, oracle_view.cached)
+        for i, j in probes:
+            assert closed_prod.prod_query(i, j) == oracle_prod.prod_query(i, j)
+
+    check()
+    for u, v in stream:
+        for pr, _, _ in sides:
+            (pr.pr_delete if pr.g.has_edge(u, v) else pr.pr_insert)(u, v)
+        check()
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_closed_form_setup_sums_traces_past_64_bits(directed):
+    # 24 diagonal entries of R^k below 2^61 - 1 sum past 2^64 for k >= 2
+    g = _random_graph(24, 96, directed, seed=12)
+    params = FieldParams(rng_seed=12)
+    closed = InverseState(encode(g, params, 6))
+    oracle = _replayed(g, params, 6, DEFAULT_KAPPA)
+    traces = np.diagonal(closed.T, axis1=0, axis2=1)[2:]
+    assert all(sum(row.tolist()) >= 2**64 for row in traces)
+    assert np.array_equal(closed.query_full(), oracle.query_full())
+    assert closed.det_poly() == oracle.det_poly()
+
+
+def test_degree_bound_just_below_the_modulus():
+    # D = p - 1: the determinant's Newton recurrence divides by every k <= D
+    g = _random_graph(6, 9, False, seed=11)
+    params = FieldParams(p=5, rng_seed=11)
+    st = InverseState(encode(g, params, 4))
+    assert np.array_equal(st.query_full(), series_inverse(st.A.matrix).data)
+    assert st.det_poly() == oracle_det(st.A, 4, 5)
+
+
+@pytest.mark.parametrize("D", [5, 6])
+def test_degree_bound_at_or_past_the_modulus_is_rejected_before_allocation(D):
+    A = encode(graph_of(64, [(i, i + 1) for i in range(63)]), FieldParams(p=5, rng_seed=1), D)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            InverseState(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"D = {D} and p = 5" in str(err.value)
+    # T and N would each be as large as A's own (n, n, D+1) array
+    assert peak < A.matrix.data.nbytes // 4

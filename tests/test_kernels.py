@@ -13,6 +13,7 @@ from dynsp._kernels import (
     add_mod,
     conv_trunc,
     mat_mul_mod,
+    mat_powers,
     mul_mod,
     poly_mat_mul,
 )
@@ -147,6 +148,17 @@ def test_conv_trunc_matches_degree_loop(p, sa, sb):
         (np.full(sa, p - 1, dtype=np.uint64), np.full(sb, p - 1, dtype=np.uint64)),
     ]:
         assert np.array_equal(conv_trunc(a, b, p), ref_conv_trunc(a, b, p))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n, k", [(7, 5), (3, 1)])
+def test_mat_powers_match_repeated_reference_products(p, n, k):
+    r = np.random.default_rng(n * 10 + k).integers(0, p, size=(n, n), dtype=np.uint64)
+    got = mat_powers(r, k, p)
+    power = np.eye(n, dtype=np.uint64)
+    for i in range(k + 1):
+        assert np.array_equal(got[:, :, i], power)
+        power = ref_mat_mul_mod(r, power, p)
 
 
 def test_unsupported_modulus_is_rejected():
