@@ -1,10 +1,10 @@
 """Dynamic shortest-paths toolkit for unweighted graphs.
 
 Algebraic core: a dynamic truncated-polynomial matrix inverse whose
-entry min-degrees encode hop distances, with witness-based path
-reporting.  On top of it: exact and approximate fully dynamic APSP,
-combinatorial and algebraic spanners, a dynamic Steiner tree, and
-hard-instance generators with a replay harness.
+entry min-degrees encode hop distances, with paths read by walking one
+inverse column towards the target.  On top of it: exact and approximate
+fully dynamic APSP, combinatorial and algebraic spanners, a dynamic
+Steiner tree, and hard-instance generators with a replay harness.
 """
 
 from .apsp import ApproxApsp, HittingSetApsp, StitchFailure
@@ -44,17 +44,7 @@ from .graph import (
 )
 from .estree import DECREMENTAL, INCREMENTAL, EsTree, ModeViolation
 from .inverse import DEFAULT_KAPPA, InverseState, NonUnitPivot, SubmatrixView
-from .polymat import (
-    DimMismatch,
-    EncodedAdjacency,
-    NotNilpotentConstant,
-    PolyMatrix,
-    encode,
-    mat_add,
-    mat_mul,
-    series_inverse,
-)
-from .product import HookOrderViolation, ProductState
+from .polymat import EncodedAdjacency, encode
 from .reporter import BEYOND, NoWitnessFound, PathReporter
 from .ring import (
     DEFAULT_PRIME,
@@ -62,7 +52,6 @@ from .ring import (
     NonUnit,
     ParamMismatch,
     TruncPoly,
-    min_degree,
     poly_add,
     poly_inv,
     poly_mul,

@@ -40,6 +40,8 @@ its coefficient of degree d - s, and the other operand is flattened
 to columns (k, s).  The Toeplitz zeros are multiplied too, so this
 takes up to twice the flops of one matmul per output degree, but it
 replaces D + 1 modular matmuls, each with its own fold, by one.
+conv_trunc has no caller in this package; it is kept as the tests'
+batched reference for truncated products.
 
 Entry budget.  The block-Toeplitz operand is D + 1 times larger than
 its source, and its float limbs three times more.  poly_mat_mul builds

@@ -169,11 +169,14 @@ class HittingSetApsp:
 class ApproxApsp:
     """(1+eps)-approximate distances and paths with a spanner fallback.
 
-    D defaults to ceil(2*beta/eps) so that answers are exact below D
-    and the spanner's (1+eps/2, beta) certificate is absorbed into a
-    pure (1+eps) factor above it.  A smaller D override trades that for
-    the explicit additive beta in the certificate; the tests audit
-    against the configured spanner's actual beta either way.
+    D defaults to min(n, ceil(2*beta/eps)).  Past ceil(2*beta/eps) the
+    spanner's (1+eps/2, beta) certificate would fold into a pure (1+eps)
+    factor, but the combinatorial spanner's beta runs from thousands to
+    millions, so the default is n in practice (ApproxApsp(g, 0.5).D ==
+    g.n): every answer then comes from the path reporter, and no query
+    reads the spanner.  A smaller D override brings the spanner in past
+    D, with the explicit additive beta in the certificate; the tests
+    audit against the configured spanner's actual beta either way.
     """
 
     def __init__(

@@ -28,9 +28,8 @@ constant coefficient (edge entries carry a factor u), which keeps the
 constant term of C equal to I, so det C is a unit and the determinant's
 constant term stays 1.
 
-Registered product states (witness-product module) and submatrix views
-are sequenced by this owner object so the reset order V before T, T
-before N-clear is a checked runtime contract.
+A registered SubmatrixView keeps M^-1 on H x H by adding each update's
+correction, read against the inverse before the update.
 """
 from __future__ import annotations
 
@@ -89,18 +88,14 @@ def _det_from_power_traces(T: np.ndarray, p: int) -> np.ndarray:
 class SubmatrixView:
     """Explicitly maintained M^-1 restricted to H x H (low-rank updates)."""
 
-    __slots__ = ("host", "H", "_pos", "cached")
+    __slots__ = ("host", "H", "cached")
 
     def __init__(self, host: "InverseState", H) -> None:
         self.host = host
         self.H = sorted(set(H))
-        self._pos = {v: a for a, v in enumerate(self.H)}
         self.cached = host.query_rows(self.H)[:, self.H, :] if self.H else (
             np.zeros((0, 0, host.D + 1), dtype=np.uint64)
         )
-
-    def entry(self, a: int, b: int) -> TruncPoly:
-        return TruncPoly(self.host.p, self.cached[self._pos[a], self._pos[b]].copy())
 
     def _apply(self, cols_h: np.ndarray, bprime_h: np.ndarray) -> None:
         """cached += M^-1[H, U] B'[:, H], with M^-1 read before the update."""
@@ -120,14 +115,11 @@ class InverseState:
             raise ValueError(f"need 1 <= D < p, got D = {self.D} and p = {self.p}")
         self.kappa = kappa
         self.reset_period = max(1, round(self.n**kappa))
-        self.T = mat_powers(A.matrix.data[:, :, 1], self.D, self.p)
+        self.T = mat_powers(A.R, self.D, self.p)
         self.N = np.zeros_like(self.T)
         self.nrows: list[int] = []
         self.det = _det_from_power_traces(self.T, self.p)
         self.updates_since_reset = 0
-        self.update_serial = 0
-        self._in_reset = False
-        self._products: list = []
         self._views: list[SubmatrixView] = []
         self._counts = dict.fromkeys(
             ("updates", "rank2_updates", "entries", "resets", "nrows_max"), 0
@@ -135,18 +127,12 @@ class InverseState:
 
     # ---- registration ------------------------------------------------------
 
-    def register_product(self, ps) -> None:
-        self._products.append(ps)
-
     def register_submatrix(self, H) -> SubmatrixView:
         view = SubmatrixView(self, H)
         self._views.append(view)
         return view
 
     # ---- queries -----------------------------------------------------------
-
-    def query(self, i: int, j: int) -> TruncPoly:
-        return TruncPoly(self.p, self._query_raw(i, j))
 
     def _block(self, rows, cols) -> np.ndarray:
         """M^-1[rows, cols] = T[rows, cols] + T[rows, nrows] N[nrows, cols].
@@ -225,30 +211,20 @@ class InverseState:
             vec[r, s, 0] = (int(vec[r, s, 0]) + 1) % p
         self.N[affected] = add_mod(self.N[affected], poly_mat_mul(vec, bprime, p), p)
         self.nrows = affected
-        # adjacency mirror
-        for c, r, d in zip(cols, rows, dvs):
-            self.A.matrix.data[c, r] = add_mod(self.A.matrix.data[c, r], d, p)
         counts = self._counts
         counts["updates"] += 1
         counts["rank2_updates"] += k == 2
         counts["entries"] += k
         counts["nrows_max"] = max(counts["nrows_max"], len(affected))
-        self.update_serial += 1
         self.updates_since_reset += k
-        for ps in self._products:
-            ps.prod_on_A_update()
         if self.updates_since_reset >= self.reset_period:
             self._reset()
 
     def _reset(self) -> None:
         self._counts["resets"] += 1
-        self._in_reset = True
-        for ps in self._products:
-            ps.prod_on_A_update()  # reset leg: folds N into V before T moves
         if self.nrows:
             extra = poly_mat_mul(self.T[:, self.nrows], self.N[self.nrows], self.p)
             self.T = add_mod(self.T, extra, self.p)
             self.N[self.nrows] = 0
         self.nrows = []
         self.updates_since_reset = 0
-        self._in_reset = False

@@ -17,11 +17,11 @@ exactly when S contains a shortest-path successor of i towards j (rho_is
 are fixed random field constants, so accidental cancellation has
 probability ~1/p).  With numpy a whole column costs about as much as a
 handful of entries, so the walk is cheaper.  The witness sums remain as
-copy_values and bitcopy_E: every copy is defined by (current edge set,
-static column mask, rho table), so all copy values for one (i, j) reduce
-to a single masked matrix product over the witness vector, the same
-E*M^-1 = V(I+N) invariant the explicit product module maintains, and the
-tests cross-check the two.
+copy_values: every copy is defined by (current edge set, static column
+mask, rho table), so all copy values for one (i, j) reduce to a single
+masked matrix product over the witness vector, entry (i, j) of E_c M^-1
+for the copy's witness matrix E_c, and the tests check them against
+that product.
 """
 from __future__ import annotations
 
@@ -74,7 +74,6 @@ class PathReporter:
         D: int,
         kappa: float = DEFAULT_KAPPA,
         seed: int = 0,
-        reps: int | None = None,
         params: FieldParams | None = None,
     ) -> None:
         self.g = g
@@ -84,7 +83,6 @@ class PathReporter:
         self.host = InverseState(encode(g, self.params, D), kappa)
         n = g.n
         self.L = max(1, math.ceil(math.log2(n))) if n > 1 else 1
-        self.reps = reps if reps is not None else 3 * self.L
 
     # ---- witness copies (built on first use) -------------------------------
 
@@ -107,23 +105,12 @@ class PathReporter:
         rng = np.random.default_rng(self.params.rng_seed ^ 0xA5A5A5A5)
         for w in range(L):
             size = min(1 << w, n)
-            for _rep in range(self.reps):
+            for _rep in range(3 * L):
                 sample = rng.choice(n, size=size, replace=False)
                 base = np.zeros(n, dtype=bool)
                 base[sample] = True
                 stacks.append(bit_masks & base)
         return np.concatenate(stacks, axis=0)
-
-    def bitcopy_E(self, copy_index: int) -> np.ndarray:
-        """The explicit E matrix of one copy (test hook, small n only)."""
-        n, dp1 = self.g.n, self.D + 1
-        E = np.zeros((n, n, dp1), dtype=np.uint64)
-        mask = self.copy_masks[copy_index]
-        for i in range(n):
-            for s in self.g.adj[i]:
-                if mask[s]:
-                    E[i, s, 0] = self._rho[i, s]
-        return E
 
     # ---- updates -----------------------------------------------------------
 

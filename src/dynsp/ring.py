@@ -19,7 +19,6 @@ import numpy as np
 from ._kernels import (
     MERSENNE61,
     add_mod,
-    min_degree_arr,
     mul_mod,
     neg_mod,
     sub_mod,
@@ -186,8 +185,3 @@ def poly_inv(a: TruncPoly) -> TruncPoly:
         x.append(-sum(c[t] * x[d - t] for t in range(1, d + 1)) * inv0 % p)
     return TruncPoly(p, x)
 
-
-def min_degree(a: TruncPoly):
-    """Least d with a nonzero u^d coefficient, or None for the zero element."""
-    d = int(min_degree_arr(a.coeffs))
-    return None if d > a.D else d

@@ -161,7 +161,6 @@ class AlgSpannerState:
             self.depth,
             self.kappa,
             derive_seed(self.seed, 0x6B, run),
-            reps=3,
         )
 
     # ---- thresholds --------------------------------------------------------

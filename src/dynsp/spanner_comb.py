@@ -233,9 +233,6 @@ class SpannerState:
 
     # ---- snapshots ---------------------------------------------------------
 
-    def sp_current(self) -> tuple[set, int]:
-        return set(self.H), self.beta_certificate
-
     def edge_list_text(self) -> str:
         lines = [f"# spanner |H|={len(self.H)} beta={self.beta_certificate}"]
         lines += [f"{u} {v}" for u, v in sorted(self.H)]

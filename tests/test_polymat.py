@@ -1,33 +1,32 @@
-"""Polynomial matrices and the symbolic adjacency encoding."""
+"""Polynomial matrix products, the series-inverse oracle, and the symbolic
+adjacency encoding."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inverse_oracles import adjacency, arcs, identity, series_inverse
+
+from dynsp._kernels import min_degree_arr, poly_mat_mul, sub_mod
 from dynsp.graph import DynamicGraph, bfs_dist
-from dynsp.polymat import (
-    DimMismatch,
-    NotNilpotentConstant,
-    PolyMatrix,
-    encode,
-    mat_add,
-    mat_mul,
-    series_inverse,
-)
-from dynsp.ring import FieldParams, TruncPoly, min_degree, poly_add, poly_mul
+from dynsp.polymat import encode
+from dynsp.ring import FieldParams, TruncPoly, poly_add, poly_mul
 
 SMALL_P = 10007
 
 
-def naive_mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    out = PolyMatrix.zeros(a.p, a.rows, b.cols, a.D)
-    for i in range(a.rows):
-        for j in range(b.cols):
-            acc = TruncPoly.zero(a.p, a.D)
-            for k in range(a.cols):
-                acc = poly_add(acc, poly_mul(a.entry(i, k), b.entry(k, j)))
-            out.set_entry(i, j, acc)
+def naive_mat_mul(a, b):
+    """Entry by entry over TruncPoly: out[i, j] = sum_k a[i, k] b[k, j]."""
+    D = a.shape[2] - 1
+    out = np.zeros((a.shape[0], b.shape[1], D + 1), dtype=np.uint64)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            acc = TruncPoly.zero(SMALL_P, D)
+            for k in range(a.shape[1]):
+                x, y = TruncPoly(SMALL_P, a[i, k]), TruncPoly(SMALL_P, b[k, j])
+                acc = poly_add(acc, poly_mul(x, y))
+            out[i, j] = acc.coeffs
     return out
 
 
@@ -40,53 +39,40 @@ def matrices(draw, rows, cols, D=4):
             max_size=rows * cols * (D + 1),
         )
     )
-    arr = np.array(data, dtype=np.uint64).reshape(rows, cols, D + 1)
-    return PolyMatrix(SMALL_P, arr)
+    return np.array(data, dtype=np.uint64).reshape(rows, cols, D + 1)
 
 
 @given(matrices(3, 4), matrices(4, 2))
 @settings(max_examples=25, deadline=None)
 def test_mat_mul_matches_naive(a, b):
-    assert mat_mul(a, b) == naive_mat_mul(a, b)
-
-
-def test_dimension_mismatch():
-    a = PolyMatrix.zeros(SMALL_P, 2, 3, 4)
-    b = PolyMatrix.zeros(SMALL_P, 2, 3, 4)
-    with pytest.raises(DimMismatch):
-        mat_mul(a, b)
-    with pytest.raises(DimMismatch):
-        mat_add(a, PolyMatrix.zeros(SMALL_P, 3, 2, 4))
+    assert np.array_equal(poly_mat_mul(a, b, SMALL_P), naive_mat_mul(a, b))
 
 
 def test_identity_is_neutral():
-    ident = PolyMatrix.identity(SMALL_P, 3, 4)
-    a = PolyMatrix.zeros(SMALL_P, 3, 3, 4)
-    a.data[0, 2, 1] = 7
-    a.data[1, 1, 0] = 5
-    assert mat_mul(ident, a) == a
-    assert mat_mul(a, ident) == a
+    ident = identity(3, 4)
+    a = np.zeros((3, 3, 5), dtype=np.uint64)
+    a[0, 2, 1] = 7
+    a[1, 1, 0] = 5
+    assert np.array_equal(poly_mat_mul(ident, a, SMALL_P), a)
+    assert np.array_equal(poly_mat_mul(a, ident, SMALL_P), a)
 
 
 def test_series_inverse_inverts():
     rng = np.random.default_rng(0)
     D = 5
-    a = PolyMatrix.zeros(SMALL_P, 4, 4, D)
-    a.data[:, :, 1:] = rng.integers(0, SMALL_P, size=(4, 4, D))
-    inv = series_inverse(a)
+    a = np.zeros((4, 4, D + 1), dtype=np.uint64)
+    a[:, :, 1:] = rng.integers(0, SMALL_P, size=(4, 4, D))
+    inv = series_inverse(a, SMALL_P)
     # (I - A) * inv == I
-    m = PolyMatrix.identity(SMALL_P, 4, D)
-    m.data[:, :, :] = (m.data.astype(object) - a.data.astype(object)) % SMALL_P
-    assert mat_mul(PolyMatrix(SMALL_P, m.data.astype(np.uint64)), inv) == (
-        PolyMatrix.identity(SMALL_P, 4, D)
-    )
+    m = sub_mod(identity(4, D), a, SMALL_P)
+    assert np.array_equal(poly_mat_mul(m, inv, SMALL_P), identity(4, D))
 
 
 def test_series_inverse_rejects_constant_terms():
-    a = PolyMatrix.zeros(SMALL_P, 2, 2, 3)
-    a.data[0, 1, 0] = 1
-    with pytest.raises(NotNilpotentConstant):
-        series_inverse(a)
+    a = np.zeros((2, 2, 4), dtype=np.uint64)
+    a[0, 1, 0] = 1
+    with pytest.raises(ValueError, match="constant term"):
+        series_inverse(a, SMALL_P)
 
 
 def test_encoded_adjacency_min_degrees_are_distances():
@@ -94,24 +80,30 @@ def test_encoded_adjacency_min_degrees_are_distances():
     for u, v in [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)]:
         g.insert_edge(u, v)
     D = 5
-    A = encode(g, FieldParams(rng_seed=11), D)
-    inv = series_inverse(A.matrix)
+    params = FieldParams(rng_seed=11)
+    A = encode(g, params, D)
+    a = adjacency(A, arcs(g))
+    assert np.array_equal(A.R, a[:, :, 1])
+    md = min_degree_arr(series_inverse(a, params.p))
     for i in range(7):
         dist = bfs_dist(g, i)
         for j in range(7):
-            md = min_degree(inv.entry(i, j))
             if dist[j] <= D:
-                assert md == dist[j], (i, j)
+                assert md[i, j] == dist[j], (i, j)
             else:
-                assert md is None or md > D
+                assert md[i, j] > D
 
 
 def test_edge_coefficients_are_stable_across_reinsertion():
     g = DynamicGraph(3)
     g.insert_edge(0, 1)
-    A = encode(g, FieldParams(rng_seed=5), 3)
-    r = int(A.matrix.data[0, 1, 1])
-    A.apply(0, 1, False)
-    assert not A.matrix.data[0, 1].any()
-    A.apply(0, 1, True)
-    assert int(A.matrix.data[0, 1, 1]) == r
+    params = FieldParams(rng_seed=5)
+    R = encode(g, params, 3).R
+    g.delete_edge(0, 1)
+    assert not encode(g, params, 3).R.any()
+    g.insert_edge(0, 1)
+    A = encode(g, params, 3)
+    assert np.array_equal(A.R, R)
+    on, off = A.entry_delta(0, 1, True), A.entry_delta(0, 1, False)
+    assert np.array_equal(sub_mod(np.zeros_like(on), on, params.p), off)
+    assert int(on[1]) == int(R[0, 1]) != 0

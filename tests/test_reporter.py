@@ -1,5 +1,5 @@
 """Distance and path reporting against the BFS oracle, plus the
-equivalence of implicit copies with explicitly maintained products."""
+paper's witness sums against their defining product E_c M^-1."""
 
 import math
 import random
@@ -7,6 +7,9 @@ import random
 import numpy as np
 import pytest
 
+from inverse_oracles import bitcopy_E
+
+from dynsp._kernels import poly_mat_mul
 from dynsp.graph import (
     AddTerminal,
     DynamicGraph,
@@ -16,7 +19,6 @@ from dynsp.graph import (
     graph_of,
     validate_path,
 )
-from dynsp.product import ProductState
 from dynsp.reporter import BEYOND, NoWitnessFound, PathReporter
 from dynsp.ring import FieldParams
 
@@ -141,19 +143,19 @@ def test_successor_rejects_out_of_range_queries():
 
 
 def test_implicit_copies_match_explicit_products():
-    """A materialized product state for one copy mask must agree with the
-    lazily evaluated copy values."""
+    """Every copy value of a pair is entry (i, j) of E_c M^-1, for the
+    copy's explicit witness matrix E_c."""
     n, D = 8, 4
     stream = drive(n, D, seed=5, steps=12, p=SMALL_P)
     for step, (pr, rng) in enumerate(stream):
         if step != 11:
             continue
         copy_index = 2
-        ps = ProductState(pr.host, pr.bitcopy_E(copy_index))
+        prod = poly_mat_mul(bitcopy_E(pr, copy_index), pr.host.query_full(), SMALL_P)
         for i in range(n):
             for j in range(n):
                 vals = pr.copy_values(i, j)
-                assert np.array_equal(vals[copy_index], ps.prod_query(i, j).coeffs)
+                assert np.array_equal(vals[copy_index], prod[i, j])
 
 
 def test_no_witness_reported_with_seed():

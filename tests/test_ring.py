@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynsp._kernels import conv_trunc, sub_mod
+from dynsp._kernels import conv_trunc, min_degree_arr, sub_mod
 from dynsp.ring import (
     DEFAULT_PRIME,
     FieldParams,
     NonUnit,
     ParamMismatch,
     TruncPoly,
-    min_degree,
     poly_add,
     poly_inv,
     poly_mul,
@@ -82,9 +81,12 @@ def test_zero_constant_is_not_a_unit():
 
 
 def test_min_degree():
-    assert min_degree(TruncPoly.zero(SMALL_P, D)) is None
-    assert min_degree(TruncPoly.constant(SMALL_P, 4, D)) == 0
-    assert min_degree(TruncPoly(SMALL_P, [0, 0, 3, 1, 0, 0, 0])) == 2
+    # the zero element reads D + 1, one past every degree
+    assert min_degree_arr(TruncPoly.zero(SMALL_P, D).coeffs) == D + 1
+    assert min_degree_arr(TruncPoly.constant(SMALL_P, 4, D).coeffs) == 0
+    assert min_degree_arr(TruncPoly(SMALL_P, [0, 0, 3, 1, 0, 0, 0]).coeffs) == 2
+    rows = np.array([[0] * 7, [0, 0, 0, 0, 0, 0, 9], [5] + [0] * 6], dtype=np.uint64)
+    assert min_degree_arr(rows).tolist() == [D + 1, D, 0]
 
 
 def test_param_mismatch_rejected():
