@@ -11,7 +11,9 @@ matrix for path reconstruction) after every update:
 
 Approximate flavor: distances <= D are answered exactly by the
 reporter; anything longer falls back to BFS on a companion spanner,
-whose multiplicative-plus-additive certificate bounds the error.
+whose multiplicative-plus-additive certificate bounds the error.  A
+block of distances costs one reporter read, plus one BFS on the spanner
+per row that has an entry beyond D.
 """
 from __future__ import annotations
 
@@ -215,6 +217,21 @@ class ApproxApsp:
         if d is not BEYOND:
             return float(d)
         return bfs_dist(self._spanner_graph(), i)[j]
+
+    def dist_block(self, rows, cols) -> np.ndarray:
+        """approx_dist(i, j) for every i in rows and j in cols, as floats.
+
+        The spanner graph is built only when some entry is beyond D.
+        """
+        rows, cols = list(rows), list(cols)
+        md = self.pr.dist_block(rows, cols)
+        out = md.astype(float)
+        beyond = md > self.D
+        for x in np.flatnonzero(beyond.any(axis=1)):
+            far = bfs_dist(self._spanner_graph(), rows[x])
+            for y in np.flatnonzero(beyond[x]):
+                out[x, y] = far[cols[y]]
+        return out
 
     def approx_path(self, i: int, j: int) -> list[int]:
         path = self.path(i, j)

@@ -3,7 +3,9 @@
 Subcommands:
 
     gen     write an update script (gadget constructions or random graphs)
-    run     replay a script against one structure, emit answers as CSV
+    run     replay a script against one structure, emit answers as CSV;
+            with --stats, also print the structure's stats() counters as
+            one JSON line on stderr (path-reporter, spanner-alg)
     verify  replay against the structure AND the BFS oracle, check every
             answer against the structure's certificate
     bench   timed replay with warmup; per-update/per-query percentiles
@@ -16,9 +18,9 @@ Exit statuses:
 
     0  success (for verify: every checked answer passed)
     1  verify found a wrong answer
-    2  usage error: bad arguments, unreadable or malformed input, or an
+    2  usage error: bad arguments, unreadable or malformed input, an
        event the structure does not take (a terminal event for an
-       edge-only structure)
+       edge-only structure), or --stats for a structure without stats()
     3  the structure failed on a valid script: the Steiner terminals
        are disconnected (steiner.Disconnected), or a randomised
        witness search failed (reporter.NoWitnessFound,
@@ -268,6 +270,8 @@ def _load(args) -> tuple[UpdateScript, object]:
 
 def cmd_run(args) -> int:
     script, st = _load(args)
+    if args.stats and not hasattr(st, "stats"):
+        raise ParamDomain(f"--stats: structure {args.structure!r} keeps no counters")
     extra = REGISTRY[args.structure].extra
     rows = [CSV_HEADER, "index,kind,u,v,answer,extra"]
     for idx, ev in enumerate(script.events):
@@ -291,6 +295,8 @@ def cmd_run(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    if args.stats:
+        print(json.dumps(st.stats(), sort_keys=True), file=sys.stderr)
     return 0
 
 
@@ -424,6 +430,8 @@ def make_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         _add_structure_args(sp)
         sp.set_defaults(func=fn)
+        if name == "run":
+            sp.add_argument("--stats", action="store_true")
     return ap
 
 

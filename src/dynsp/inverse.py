@@ -147,9 +147,6 @@ class InverseState:
         )
         return add_mod(out, extra, self.p)
 
-    def _query_raw(self, i: int, j: int) -> np.ndarray:
-        return self._block([i], [j])[0, 0]
-
     def query_rows(self, rows) -> np.ndarray:
         """M^-1 restricted to the given rows, as a (len(rows), n, D+1) array."""
         return self._block(list(rows), None)

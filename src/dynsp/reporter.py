@@ -10,6 +10,12 @@ walk uses present edges, ends at j and has the length pr_dist reports;
 a randomness failure that overstates a neighbour's min-degree surfaces
 as NoWitnessFound, never as a wrong path.
 
+Reads come in blocks.  One inverse read costs about the same for one
+entry as for a few dozen, so dist_block answers a whole rows x cols set
+of distances from one read, and column_block reads every column that a
+set of walks needs at once; walk then follows one of those columns.
+The single-pair reads (pr_dist, path) stay one read each.
+
 The paper finds each successor through witness sums instead, because
 it counts entry reads as the costly resource: for a copy with column
 mask S, sum_{s in S, (i,s) edge} rho_is * M^-1[s, j] has min-degree d-1
@@ -81,6 +87,10 @@ class PathReporter:
         self.seed = seed
         self.params = params or FieldParams(rng_seed=seed)
         self.host = InverseState(encode(g, self.params, D), kappa)
+        self._counts = dict.fromkeys(
+            ("block_reads", "entries_read", "column_reads", "successor_steps", "no_witness"),
+            0,
+        )
         n = g.n
         self.L = max(1, math.ceil(math.log2(n))) if n > 1 else 1
 
@@ -141,10 +151,43 @@ class PathReporter:
 
     # ---- queries -----------------------------------------------------------
 
+    def stats(self) -> dict[str, int]:
+        """Deterministic counters of the reads made since construction.
+
+        block_reads counts inverse reads: one per non-empty dist_block
+        (pr_dist of two distinct vertices is a 1 x 1 one), dist_matrix
+        and non-empty column_block call, and one per path or successor
+        query.  entries_read counts the entries they returned,
+        column_reads the columns read for walks, successor_steps the hops
+        walked and no_witness the walks that raised NoWitnessFound.
+        """
+        return dict(self._counts)
+
+    def _read(self, rows, cols) -> np.ndarray:
+        """Min-degrees of M^-1[rows, cols] from one inverse read."""
+        md = min_degree_arr(self.host._block(rows, cols))
+        self._counts["block_reads"] += 1
+        self._counts["entries_read"] += md.size
+        return md
+
+    def dist_block(self, rows, cols) -> np.ndarray:
+        """Min-degrees of M^-1[rows, cols] as a (len(rows), len(cols)) array.
+
+        D+1 encodes beyond D, and an entry whose row vertex is its column
+        vertex reads 0.  An empty block makes no read.
+        """
+        rows, cols = list(rows), list(cols)
+        if not rows or not cols:
+            return np.zeros((len(rows), len(cols)), dtype=np.int64)
+        md = self._read(rows, cols)
+        if not set(rows).isdisjoint(cols):
+            md[np.equal.outer(rows, cols)] = 0
+        return md
+
     def pr_dist(self, i: int, j: int):
         if i == j:
             return 0
-        d = int(min_degree_arr(self.host._query_raw(i, j)))
+        d = int(self.dist_block([i], [j])[0, 0])
         return d if d <= self.D else BEYOND
 
     def dist(self, i: int, j: int) -> float:
@@ -154,7 +197,7 @@ class PathReporter:
 
     def dist_matrix(self) -> np.ndarray:
         """min-degrees of the full inverse; D+1 encodes beyond-D (test/apsp hook)."""
-        md = min_degree_arr(self.host.query_full())
+        md = self._read(None, None)
         np.fill_diagonal(md, 0)
         return md
 
@@ -172,14 +215,30 @@ class PathReporter:
 
     def _column(self, j: int) -> list[int]:
         """Min-degrees of column j of M^-1: every vertex's towards j."""
-        return min_degree_arr(self.host.query_col(j)).tolist()
+        col = min_degree_arr(self.host.query_col(j)).tolist()
+        counts = self._counts
+        counts["block_reads"] += 1
+        counts["entries_read"] += len(col)
+        counts["column_reads"] += 1
+        return col
+
+    def column_block(self, targets) -> dict[int, list[int]]:
+        """{j: min-degrees of column j} for every target, from one read."""
+        targets = list(targets)
+        if not targets:
+            return {}
+        md = self._read(None, targets)
+        self._counts["column_reads"] += len(targets)
+        return dict(zip(targets, md.T.tolist()))
 
     def _step(self, col: list[int], i: int, j: int) -> int:
         """Smallest-index neighbour of i whose min-degree is one less."""
         want = col[i] - 1
         for s in sorted(self.g.adj[i]):
             if col[s] == want:
+                self._counts["successor_steps"] += 1
                 return s
+        self._counts["no_witness"] += 1
         raise NoWitnessFound(i, j, self.params.rng_seed)
 
     def pr_successor(self, i: int, j: int) -> int:
@@ -196,7 +255,10 @@ class PathReporter:
 
     def path(self, i: int, j: int):
         """A shortest i-j path; None beyond D."""
-        col = self._column(j)
+        return self.walk(self._column(j), i, j)
+
+    def walk(self, col: list[int], i: int, j: int):
+        """The i-j path down col, the min-degrees of column j; None beyond D."""
         if col[i] > self.D:
             return None
         path = [i]

@@ -25,10 +25,15 @@ High levels (i >= gamma = floor(kappa*k)) fetch those paths from a
 dynamically maintained algebraic distance/path structure whose degree
 bound covers every level's length cap; low levels use plain bounded
 BFS.  Both produce exact shortest paths, so the split is purely a cost
-trade and the stretch audit cannot tell them apart.
+trade and the stretch audit cannot tell them apart.  A high level costs
+the path core two reads: one block of distances between all its active
+vertices, then one block of the columns towards every pair's far end
+that qualifies, which every path walk into that end follows.
 
-All thresholds are exact rationals.  Randomness failures in the
-algebraic path queries fall back to BFS for that pair and are logged.
+All thresholds are exact rationals.  Distances are integers, and
+d <= thr exactly when d <= floor(thr), so the comparisons run against
+tables of floors built once.  Randomness failures in the algebraic
+path walks fall back to BFS for that pair and are logged.
 """
 from __future__ import annotations
 
@@ -36,9 +41,11 @@ import math
 from collections import deque
 from fractions import Fraction
 
+import numpy as np
+
 from ._kernels import derive_seed
 from .graph import DynamicGraph, InsertEdge, apply_update, bfs_dist, bfs_dist_bounded, graph_of
-from .reporter import BEYOND, NoWitnessFound, PathReporter
+from .reporter import NoWitnessFound, PathReporter
 from .spanner_comb import sample_levels
 
 
@@ -119,11 +126,14 @@ class AlgSpannerState:
         # degree bound of the path core: covers every level's length cap
         self.depth = min(n, math.ceil(Fraction(self.b ** (self.k + 1), 1) / (8 * Fraction(self.log2n))))
         self.reinit_threshold = math.ceil(8 * n ** (1 + 1 / self.k) * self.log2n ** 3)
-        # block_threshold(l, j) = c_{l,j}/4, read from a table
+        # block_threshold(l, j) = c_{l,j}/4, read from a table, and the
+        # floors of both thresholds, which integer distances compare against
         self._block_thresholds = [
             [Fraction(self.c_sum(l, j), 4) for j in range(self.k + 1)]
             for l in range(self.k + 1)
         ]
+        self._block_floors = [[math.floor(t) for t in row] for row in self._block_thresholds]
+        self._pair_floors = [math.floor(self.pair_threshold(i)) for i in range(self.k + 1)]
         self.reinit_events: list[int] = []
         self.fallback_pairs: list[tuple[int, int]] = []
         self.update_count = 0
@@ -221,7 +231,7 @@ class AlgSpannerState:
             self._active_stale = False
         self.H = set(self.helper)
         for i in range(self.k + 1):
-            thr = self.pair_threshold(i)
+            thr = self._pair_floors[i]
             if thr < 1:
                 continue  # distinct vertices are at distance >= 1 > thr
             members = sorted(
@@ -229,40 +239,54 @@ class AlgSpannerState:
             )
             if len(members) < 2:
                 continue
-            depth = min(n, math.ceil(thr))
-            use_alg = i >= self.gamma
-            for a in members:
-                reach = None
-                for a2 in members:
-                    if a2 <= a:
-                        continue
-                    if use_alg:
-                        try:
-                            d = self.alg.pr_dist(a, a2)
-                            if d is BEYOND or Fraction(d) > thr:
-                                continue
-                            self._add_path(self.alg.pr_path(a, a2))
-                            continue
-                        except NoWitnessFound:
-                            self.fallback_pairs.append((a, a2))
-                    if reach is None:
-                        reach = self._bfs_parents(a, depth)
-                    if a2 in reach and Fraction(reach[a2][0]) <= thr:
-                        self._add_path(self._walk_parents(reach, a2))
+            if i >= self.gamma:
+                self._alg_level(members, thr)
+            else:
+                for x, a in enumerate(members[:-1]):
+                    self._bfs_pairs(a, members[x + 1 :], thr)
+
+    def _alg_level(self, members: list[int], thr: int) -> None:
+        """Paths for every pair a < a2 within thr, from two path-core reads.
+
+        The pairs walk in (a, a2) order; a walk that finds no witness is
+        logged and its pair answered by BFS from a.
+        """
+        # D+1 encodes beyond D; D is below thr when n caps the core's degree
+        close = np.triu(self.alg.dist_block(members, members) <= min(thr, self.alg.D), 1)
+        pairs = [(members[x], members[y]) for x, y in np.argwhere(close).tolist()]
+        cols = self.alg.column_block(sorted({a2 for _a, a2 in pairs}))
+        failed: dict[int, list[int]] = {}
+        for a, a2 in pairs:
+            try:
+                self._add_path(self.alg.walk(cols[a2], a, a2))
+            except NoWitnessFound:
+                self.fallback_pairs.append((a, a2))
+                failed.setdefault(a, []).append(a2)
+        for a, targets in failed.items():
+            self._bfs_pairs(a, targets, thr)
+
+    def _bfs_pairs(self, a: int, targets, thr: int) -> None:
+        """Paths from a to every target within thr, from one bounded BFS."""
+        reach = self._bfs_parents(a, thr)
+        for a2 in targets:
+            if a2 in reach:
+                self._add_path(self._walk_parents(reach, a2))
 
     def _deactivation_pass(self, helper_g: DynamicGraph) -> list[bool]:
         """Descending-level BFS on the helper; exact per-level thresholds."""
         self._counts["deactivation_passes"] += 1
         n = self.g.n
+        floors = self._block_floors
         active = [True] * n
         for j in range(self.k, 0, -1):
-            depth = min(n, math.ceil(self.block_threshold(0, j)))
+            # c_{l,j} falls with l, so level 0's threshold bounds them all
+            depth = floors[0][j]
             for a2 in range(n):
                 if self.level[a2] != j:
                     continue
                 for x, dx in bfs_dist_bounded(helper_g, a2, depth).items():
                     p = self.level[x]
-                    if p < j and dx <= self.block_threshold(p, j):
+                    if p < j and dx <= floors[p][j]:
                         active[x] = False
         return active
 

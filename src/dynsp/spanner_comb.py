@@ -20,8 +20,9 @@ every update (sp_rebuild_update); RebuildSpanner wraps that with lazy
 evaluation so consumers that only look at H at query time skip
 untouched rebuilds.
 
-All thresholds are compared as exact rationals; ball radii take the
-ceiling.
+All thresholds are exact rationals; ball radii take the ceiling.
+Distances are integers, and d <= thr exactly when d <= floor(thr), so
+the block tests compare against a table of floors built once.
 """
 from __future__ import annotations
 
@@ -89,10 +90,12 @@ class SpannerState:
         log2n = max(1.0, math.log2(n))
         self.k = k if k is not None else max(1, math.ceil(math.sqrt(log2n)))
         self.seed = seed
-        # eps'^-(i+1) per level, and threshold(j, i) read from a table
+        # eps'^-(i+1) per level, and threshold(j, i) and its floor read
+        # from tables
         inv_pow = [self.eps_prime ** -(i + 1) for i in range(self.k + 1)]
         self._radii = [min(n, math.ceil(x)) for x in inv_pow]
         self._thresholds = [[x - y for y in inv_pow] for x in inv_pow]
+        self._floors = [[math.floor(t) for t in row] for row in self._thresholds]
         self.level = sample_levels(n, self.k, derive_seed(self.seed, 0x5E))
         self.beta_certificate = 2 * math.ceil(self.eps_prime ** -(self.k + 1))
         self.active: dict[int, bool] = {}
@@ -118,10 +121,10 @@ class SpannerState:
             j = self.level[a]
             if j == 0:
                 continue
-            reach = bfs_dist_bounded(self.g, a, math.floor(self.threshold(j, 0)))
-            for x, dx in reach.items():
+            floors = self._floors[j]
+            for x, dx in bfs_dist_bounded(self.g, a, floors[0]).items():
                 i = self.level[x]
-                if i < j and Fraction(dx) <= self.threshold(j, i):
+                if i < j and dx <= floors[i]:
                     blocked.add(x)
         return {v: v not in blocked for v in range(self.g.n)}
 
@@ -142,9 +145,10 @@ class SpannerState:
 
     def _record_blocks(self, a: int, tree: EsTree) -> None:
         j = self.level[a]
+        floors = self._floors[j]
         for x, dx in tree.level.items():
             i = self.level[x]
-            if i < j and Fraction(dx) <= self.threshold(j, i):
+            if i < j and dx <= floors[i]:
                 self.blocks_of[x].add(a)
 
     def _adopt_tree_edges(self, a: int, tree: EsTree) -> None:
@@ -195,13 +199,14 @@ class SpannerState:
 
     def _apply_block_changes(self, a: int, changes: dict) -> None:
         j = self.level[a]
+        floors = self._floors[j]
         for x, (old, new) in changes.items():
             i = self.level[x]
             if i >= j:
                 continue
-            thr = self.threshold(j, i)
-            was = old is not None and Fraction(old) <= thr
-            now = new is not None and Fraction(new) <= thr
+            thr = floors[i]
+            was = old is not None and old <= thr
+            now = new is not None and new <= thr
             if was and not now:
                 self.blocks_of[x].discard(a)
             elif now and not was:

@@ -6,11 +6,12 @@ edge back into an actual path in G.  With a (1+eps/2)-accurate
 distance provider the tree weight is within (2+eps) of optimum.
 
 Everything downstream of the distance provider is recomputed per
-operation: the closure with |S|^2 distance queries after an edge
-event (one new row on terminal addition, none on removal), then the
-MST, then the expansion.  Overlapping expanded paths are counted once
-because the reported tree is a spanning tree of their union,
-extracted by BFS from the lowest-indexed terminal.
+operation: the closure after an edge event, as one |S| x |S| block of
+distances from the provider (one 1 x |S| row on terminal addition,
+none on removal), then the MST, then the expansion.  Overlapping
+expanded paths are counted once because the reported tree is a
+spanning tree of their union, extracted by BFS from the lowest-indexed
+terminal.
 """
 from __future__ import annotations
 
@@ -71,18 +72,20 @@ class SteinerState:
     # ---- closure bookkeeping ----------------------------------------------
 
     def _add_closure_row(self, v: int) -> None:
-        self.closure[v] = {}
-        for w in self.S:
-            d = self.provider.approx_dist(v, w)
-            self.closure[v][w] = d
+        terms = sorted(self.S)
+        row = self.provider.dist_block([v], terms)[0].tolist()
+        self.closure[v] = dict(zip(terms, row))
+        for w, d in zip(terms, row):
             self.closure[w][v] = d
 
     def _recompute_closure(self) -> None:
+        """The closure from one block; each pair a < b reads entry (a, b)."""
         terms = sorted(self.S)
+        block = self.provider.dist_block(terms, terms).tolist()
         self.closure = {v: {} for v in terms}
-        for a_idx, a in enumerate(terms):
-            for b2 in terms[a_idx + 1 :]:
-                d = self.provider.approx_dist(a, b2)
+        for x, a in enumerate(terms):
+            for y in range(x + 1, len(terms)):
+                b2, d = terms[y], block[x][y]
                 self.closure[a][b2] = d
                 self.closure[b2][a] = d
 

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from dynsp.apsp import ApproxApsp, HittingSetApsp
 from dynsp.graph import (
@@ -14,6 +16,7 @@ from dynsp.graph import (
     apply_update,
     validate_path,
 )
+from dynsp.reporter import BEYOND
 
 INF = math.inf
 
@@ -155,3 +158,35 @@ def test_protocol_reads_agree_with_the_named_queries():
         assert st.dist(0, 13) == INF and st.path(0, 13) is None
         st.apply(InsertEdge(12, 13))
         assert st.dist(13, 0) == dist(13, 0) and st.path(13, 0) == path(13, 0)
+
+
+@given(
+    seed=hst.integers(0, 2**16),
+    steps=hst.integers(0, 6),
+    rows=hst.lists(hst.integers(0, 17), max_size=6),
+    cols=hst.lists(hst.integers(0, 17), max_size=6),
+)
+@settings(max_examples=25, deadline=None)
+def test_approx_dist_block_matches_approx_dist(seed, steps, rows, cols):
+    g = path_graph(18)
+    g.delete_edge(12, 13)  # unreachable pairs read inf
+    block, pairs = (ApproxApsp(g.copy(), eps=1, seed=seed, D=4, spanner_k=1) for _ in range(2))
+    for ev in random_events(g.copy(), random.Random(seed), steps):
+        block.apply(ev)
+        pairs.apply(ev)
+    got = block.dist_block(rows, cols)
+    assert got.shape == (len(rows), len(cols))
+    assert got.tolist() == [[pairs.approx_dist(i, j) for j in cols] for i in rows]
+    # the spanner graph is built only for an entry beyond D
+    beyond = any(pairs.pr.pr_dist(i, j) is BEYOND for i in rows for j in cols)
+    assert (block._h_graph is not None) == beyond
+
+
+def test_approx_dist_block_within_d_leaves_the_spanner_unbuilt():
+    aa = ApproxApsp(path_graph(18), eps=1, seed=3, D=4, spanner_k=1)
+    aa.apply(InsertEdge(0, 9))
+    got = aa.dist_block([0, 9, 2], [9, 3, 0, 0])
+    assert got.tolist() == [[1, 3, 0, 0], [0, 4, 1, 1], [3, 1, 2, 2]]
+    assert aa._h_graph is None
+    assert aa.dist_block([0], [15]).tolist() == [[aa.approx_dist(0, 15)]]
+    assert aa._h_graph is not None

@@ -313,3 +313,32 @@ def test_directed_script_paths_follow_arcs(tmp_path, capsys):
         rows.append(capsys.readouterr().out.splitlines()[-5:])
     assert rows[0] == rows[1] == rows[2]
     assert rows[0][0] == "0,path,1,3,1-2-0-3,"
+
+
+@pytest.mark.parametrize("structure", ["path-reporter", "spanner-alg"])
+def test_run_stats_prints_one_json_line_and_keeps_the_csv(tmp_path, capsys, structure):
+    script = gen_random(tmp_path, n=16, updates=24, seed=5)
+    argv = ["run", "--structure", structure, "--script", str(script), "--D", "3", "--k", "1"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--stats"]) == 0
+    counted = capsys.readouterr()
+    assert counted.out == plain.out and plain.err == ""
+    lines = counted.err.splitlines()
+    assert len(lines) == 1
+    stats = json.loads(lines[0])
+    assert stats and all(isinstance(v, int) for v in stats.values())
+    assert main(argv + ["--stats"]) == 0
+    assert capsys.readouterr().err == counted.err  # deterministic
+
+
+@pytest.mark.parametrize(
+    "structure", ["exact-apsp", "approx-apsp", "spanner-comb", "steiner", "bfs-oracle"]
+)
+def test_run_stats_on_a_structure_without_counters_exits_2(tmp_path, capsys, structure):
+    script = gen_random(tmp_path)
+    argv = ["run", "--structure", structure, "--script", str(script), "--stats"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --stats: structure {structure!r} keeps no counters\n"

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from inverse_oracles import bitcopy_E
 
@@ -130,6 +132,7 @@ def test_overstated_neighbour_raises_no_witness(monkeypatch):
     with pytest.raises(NoWitnessFound) as err:
         pr.pr_path(0, 3)
     assert err.value.pair == (0, 3)
+    assert pr.stats()["no_witness"] == 1
 
 
 def test_successor_rejects_out_of_range_queries():
@@ -185,3 +188,81 @@ def test_protocol_reads_and_non_edge_events():
     assert sorted(g.edges()) == [(0, 1), (1, 2), (2, 3), (3, 4)]
     pr.apply(InsertEdge(0, 4))
     assert pr.dist(0, 4) == 1.0 and pr.path(3, 0) == [3, 4, 0]
+
+
+# ---- block reads against the single-pair reads -------------------------------
+
+
+def _per_pair(pr, rows, cols):
+    beyond = pr.D + 1
+    return np.array(
+        [[beyond if (d := pr.pr_dist(i, j)) is BEYOND else d for j in cols] for i in rows],
+        dtype=np.int64,
+    ).reshape(len(rows), len(cols))
+
+
+@given(
+    n=hst.integers(2, 12),
+    D=hst.integers(1, 5),
+    seed=hst.integers(0, 2**16),
+    small_p=hst.booleans(),
+    picks=hst.lists(
+        hst.tuples(hst.lists(hst.integers(0, 11), max_size=6), hst.lists(hst.integers(0, 11), max_size=6)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@settings(max_examples=30, deadline=None)
+def test_dist_block_matches_pr_dist_after_every_update(n, D, seed, small_p, picks):
+    pending = False
+    for pr, _ in drive(n, D, seed, steps=n + 4, p=SMALL_P if small_p else None):
+        pending |= bool(pr.host.nrows)
+        everyone = list(range(n))
+        blocks = [(everyone, everyone), (everyone, [])]
+        # repeated, unsorted and empty index lists, with diagonal pairs
+        blocks += [([i % n for i in rows], [j % n for j in cols]) for rows, cols in picks]
+        for rows, cols in blocks:
+            got = pr.dist_block(rows, cols)
+            assert got.shape == (len(rows), len(cols))
+            assert np.array_equal(got, _per_pair(pr, rows, cols)), (rows, cols)
+        assert np.array_equal(pr.dist_block(everyone, everyone), pr.dist_matrix())
+    # some reads ran against a nonzero N, unless every update resets
+    assert pending or pr.host.reset_period <= 2
+
+
+def test_column_block_walks_match_single_paths():
+    for step, (pr, rng) in enumerate(drive(16, 6, seed=9, steps=40)):
+        if step % 4:
+            continue
+        targets = rng.sample(range(16), 5)
+        cols = pr.column_block(targets)
+        assert list(cols) == targets
+        for j in targets:
+            for i in range(16):
+                assert pr.walk(cols[j], i, j) == pr.path(i, j), (i, j)
+
+
+def test_stats_count_reads_and_repeat_on_one_seed():
+    def run():
+        for pr, rng in drive(12, 4, seed=10, steps=30):
+            pr.dist_block(range(12), [3, 5])
+            pr.pr_dist(*rng.sample(range(12), 2))
+            pr.path(*rng.sample(range(12), 2))
+            pr.walk(pr.column_block([1, 2])[2], 7, 2)
+        return pr.stats()
+
+    first = run()
+    assert first == run()
+    # per step: dist_block, pr_dist, path's column and one column block
+    assert first["block_reads"] == 4 * 30
+    assert first["column_reads"] == (1 + 2) * 30
+    assert first["entries_read"] == (12 * 2 + 1 + 12 + 12 * 2) * 30
+    assert first["successor_steps"] > 0 and first["no_witness"] == 0
+
+
+def test_empty_blocks_make_no_read():
+    pr = PathReporter(graph_of(4, [(0, 1)]), 2, seed=1)
+    assert pr.dist_block([], [0, 1]).shape == (0, 2)
+    assert pr.dist_block([0, 1], []).shape == (2, 0)
+    assert pr.column_block([]) == {}
+    assert pr.stats()["block_reads"] == 0

@@ -211,15 +211,17 @@ def test_levels_below_one_hop_make_no_queries_and_change_nothing(monkeypatch):
     # so the rule without the skip queries the path core for its pairs
     assert st.gamma == 1 and st.pair_threshold(1) < 1 <= st.pair_threshold(2)
     assert len(st.alg_active(1)) >= 2
+    # st reads each level in one block and ref one pair at a time through
+    # pr_dist, which is a 1 x 1 block: the spy sees the levels of both
     queried = {st: [], ref: []}
-    real_dist = PathReporter.pr_dist
+    real_block = PathReporter.dist_block
 
-    def spy(self, i, j):
+    def spy(self, rows, cols):
         s = st if self is st.alg else ref
-        queried[s].append((s.level[i], s.level[j]))
-        return real_dist(self, i, j)
+        queried[s].extend((s.level[i], s.level[j]) for i in rows for j in cols)
+        return real_block(self, rows, cols)
 
-    monkeypatch.setattr(PathReporter, "pr_dist", spy)
+    monkeypatch.setattr(PathReporter, "dist_block", spy)
     for ev in mixed_events(g, rng, 40):
         st.alg_update(ev)
         ref.alg_update(ev)
@@ -502,3 +504,74 @@ def test_protocol_reads_the_spanner_h():
         for _ in range(10):
             u, v = rng.sample(range(24), 2)
             assert st.dist(u, v) == h[u][v]
+
+
+# ---- block reads ---------------------------------------------------------------
+
+
+def test_an_update_makes_at_most_two_path_core_reads_per_algebraic_level():
+    g, rng = random_graph(40, 90, seed=4)
+    st = AlgSpannerState(g.copy(), eps=1, kappa=0.5, seed=5, k=2, b=6)
+    levels = st.k + 1 - st.gamma
+    read_levels = 0
+    for ev in mixed_events(g, rng, 20):
+        before = st.alg.stats()
+        st.alg_update(ev)
+        after = st.alg.stats()
+        assert after["block_reads"] - before["block_reads"] <= 2 * levels
+        read_levels += after["block_reads"] > before["block_reads"]
+    assert st.reinit_events == [] and read_levels == 20
+
+
+def _overstate_rows(monkeypatch, overstated):
+    """Every path-core read sees the rows of `overstated` one min-degree
+    too far from every other vertex (capped at D+1), as a randomness
+    failure would; single-pair and block reads alike."""
+    real_read, real_column = PathReporter._read, PathReporter._column
+
+    def read(self, rows, cols):
+        md = real_read(self, rows, cols)
+        rows = range(self.g.n) if rows is None else rows
+        cols = range(self.g.n) if cols is None else cols
+        for x, i in enumerate(rows):
+            for y, j in enumerate(cols):
+                if i in overstated and i != j:
+                    md[x, y] = min(md[x, y] + 1, self.D + 1)
+        return md
+
+    def column(self, j):
+        col = real_column(self, j)
+        return [min(d + 1, self.D + 1) if i in overstated and i != j else d for i, d in enumerate(col)]
+
+    monkeypatch.setattr(PathReporter, "_read", read)
+    monkeypatch.setattr(PathReporter, "_column", column)
+
+
+def test_fallback_pairs_keep_their_order_when_walks_find_no_witness(monkeypatch):
+    g, rng = random_graph(40, 90, seed=4)
+    params = dict(eps=1, kappa=0.5, seed=5, k=2, b=6)
+    _overstate_rows(monkeypatch, set(range(0, 40, 3)))
+    st = AlgSpannerState(g.copy(), **params)
+    ref = _FullRebuild(g.copy(), **params)
+    assert_matches_full_rebuild(st, ref)
+    for ev in mixed_events(g, rng, 10):
+        st.alg_update(ev)
+        ref.alg_update(ev)
+        assert_matches_full_rebuild(st, ref)
+    assert len(st.fallback_pairs) > 1 and st.alg.stats()["no_witness"] > 0
+    check_state(st, eps=1)
+
+
+@pytest.mark.parametrize("eps", [1, Fraction(1, 2), Fraction(2, 3), 0.3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_threshold_floors_agree_with_the_exact_thresholds(eps, k):
+    for b in (None, 3, 7):
+        st = AlgSpannerState(DynamicGraph(16), eps=eps, kappa=0.5, seed=0, k=k, b=b)
+        for i in range(k + 1):
+            thr, floor = st.pair_threshold(i), st._pair_floors[i]
+            for d in set(range(st.depth + 3)) | set(range(floor - 1, floor + 3)):
+                assert (d <= floor) == (Fraction(d) <= thr), (i, d)
+            for j in range(k + 1):
+                thr, floor = st.block_threshold(i, j), st._block_floors[i][j]
+                for d in set(range(st.depth + 3)) | set(range(floor - 1, floor + 3)):
+                    assert (d <= floor) == (Fraction(d) <= thr), (i, j, d)

@@ -113,6 +113,18 @@ def test_thresholds_are_exact_rationals():
     assert st.radius_for_level(0) == 8  # capped at n
 
 
+@pytest.mark.parametrize("eps", [1, Fraction(1, 2), Fraction(3, 4), 0.3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_threshold_floors_agree_with_the_exact_thresholds(eps, k):
+    st = SpannerState(DynamicGraph(16), eps=eps, seed=1, mode=DECREMENTAL, k=k)
+    for j in range(k + 1):
+        for i in range(k + 1):
+            thr, floor = st.threshold(j, i), st._floors[j][i]
+            ds = set(range(st.radius_for_level(j) + 3)) | set(range(floor - 1, floor + 3))
+            for d in ds:
+                assert (d <= floor) == (Fraction(d) <= thr), (j, i, d)
+
+
 def test_rebuild_provider_is_lazy_but_faithful():
     g, rng = random_graph(24, 50, seed=6)
     lazy = RebuildSpanner(g.copy(), 1, seed=7, k=2)

@@ -5,13 +5,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from dynsp.apsp import ApproxApsp
 from dynsp.graph import (
     AddTerminal,
     DeleteEdge,
     DynamicGraph,
     InsertEdge,
     RemoveTerminal,
+    apply_update,
     bfs_dist,
 )
 from dynsp.steiner import (
@@ -182,3 +186,75 @@ def test_apply_dispatches_script_events():
     assert st.apply(RemoveTerminal(1)).weight == 3
     assert st.apply(DeleteEdge(1, 6)) is st.tree and st.tree.weight == 3
     assert st.dist(3, 6) == st.provider.approx_dist(3, 6) == 3
+
+
+# ---- the block closure against one distance read per pair --------------------
+
+
+class _PerPairClosure(SteinerState):
+    """SteinerState reading its closure one approx_dist per terminal pair
+    (the reference for the block reads)."""
+
+    def _add_closure_row(self, v):
+        self.closure[v] = {}
+        for w in self.S:
+            d = self.provider.approx_dist(v, w)
+            self.closure[v][w] = d
+            self.closure[w][v] = d
+
+    def _recompute_closure(self):
+        terms = sorted(self.S)
+        self.closure = {v: {} for v in terms}
+        for a_idx, a in enumerate(terms):
+            for b2 in terms[a_idx + 1 :]:
+                d = self.provider.approx_dist(a, b2)
+                self.closure[a][b2] = d
+                self.closure[b2][a] = d
+
+
+def _grid(side):
+    g = DynamicGraph(side * side)
+    for r in range(side):
+        for c in range(side):
+            v = r * side + c
+            if c + 1 < side:
+                g.insert_edge(v, v + 1)
+            if r + 1 < side:
+                g.insert_edge(v, v + side)
+    return g
+
+
+@given(seed=hst.integers(0, 2**16))
+@settings(max_examples=8, deadline=None)
+def test_block_closure_and_tree_equal_the_per_pair_closure(seed):
+    rng = random.Random(seed)
+    g = _grid(6)
+    terminals = rng.sample(range(36), 4)
+
+    def make(cls):
+        # D = 3 puts some terminal pairs beyond D, answered on the spanner
+        provider = ApproxApsp(g.copy(), 0.5, seed=seed, D=3, spanner_k=1)
+        return cls(g.copy(), terminals, eps=1, seed=seed, provider=provider)
+
+    st, ref = make(SteinerState), make(_PerPairClosure)
+    beyond = 0
+    for _ in range(24):
+        assert st.closure == ref.closure
+        assert st.tree.edges == ref.tree.edges and st.tree.vertices == ref.tree.vertices
+        assert (st.provider._h_graph is None) == (ref.provider._h_graph is None)
+        beyond += st.provider._h_graph is not None
+        roll = rng.random()
+        if roll < 0.25 and len(st.S) > 2:
+            ev = RemoveTerminal(rng.choice(sorted(st.S)))
+        elif roll < 0.5:
+            ev = AddTerminal(rng.choice([v for v in range(36) if v not in st.S]))
+        else:
+            u, v = rng.sample(range(36), 2)
+            ev = DeleteEdge(u, v) if g.has_edge(u, v) else InsertEdge(u, v)
+            apply_update(g, ev)
+            if INF in bfs_dist(g, 0):  # keep the terminals connected
+                g.insert_edge(u, v)
+                continue
+        st.apply(ev)
+        ref.apply(ev)
+    assert beyond > 0
