@@ -13,7 +13,9 @@ Approximate flavor: distances <= D are answered exactly by the
 reporter; anything longer falls back to BFS on a companion spanner,
 whose multiplicative-plus-additive certificate bounds the error.  A
 block of distances costs one reporter read, plus one BFS on the spanner
-per row that has an entry beyond D.
+per row that has an entry beyond D, and a set of paths costs one
+column read over their far ends, plus one BFS on the spanner per path
+beyond D.
 """
 from __future__ import annotations
 
@@ -201,6 +203,7 @@ class ApproxApsp:
         self.D = D
         self.pr = PathReporter(g, D, kappa, seed)
         self._h_graph: DynamicGraph | None = None
+        self._spanner_rows = 0
 
     def apply(self, ev) -> None:
         self.pr.apply(ev)
@@ -208,9 +211,24 @@ class ApproxApsp:
         self._h_graph = None
 
     def _spanner_graph(self) -> DynamicGraph:
+        """The current spanner as a graph; counts the BFS the caller runs."""
         if self._h_graph is None:
             self._h_graph = self.spanner.subgraph()
+        self._spanner_rows += 1
         return self._h_graph
+
+    def stats(self) -> dict[str, int]:
+        """Deterministic counters of the work done since construction.
+
+        The path reporter's read counters, spanner_rows for the BFS runs
+        on the spanner that answer entries beyond D, and the spanner's
+        own counters under a spanner_ prefix.
+        """
+        return {
+            **self.pr.stats(),
+            "spanner_rows": self._spanner_rows,
+            **{f"spanner_{key}": v for key, v in self.spanner.stats().items()},
+        }
 
     def approx_dist(self, i: int, j: int) -> float:
         d = self.pr.pr_dist(i, j)
@@ -244,6 +262,18 @@ class ApproxApsp:
 
     def path(self, i: int, j: int):
         """An i-j path within the distance guarantee; None when unreachable."""
-        if self.pr.pr_dist(i, j) is not BEYOND:
-            return self.pr.pr_path(i, j)
-        return bfs_path(self._spanner_graph(), i, j)
+        return self.paths([(i, j)])[0]
+
+    def paths(self, pairs) -> list:
+        """path(i, j) for every pair (i, j), from one column read.
+
+        Each pair walks the column of its far end; a pair beyond D takes
+        the BFS path on the spanner, which is built only then.
+        """
+        pairs = list(pairs)
+        cols = self.pr.column_block(sorted({j for _i, j in pairs}))
+        out = []
+        for i, j in pairs:
+            path = self.pr.walk(cols[j], i, j)
+            out.append(path if path is not None else bfs_path(self._spanner_graph(), i, j))
+        return out

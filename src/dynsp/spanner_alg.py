@@ -147,6 +147,8 @@ class AlgSpannerState:
             ),
             0,
         )
+        # read counters of the path cores that re-inits replaced
+        self._retired_reads: dict[str, int] = {}
         self._init_helper()
         self._init_everything()
 
@@ -166,6 +168,8 @@ class AlgSpannerState:
         self._active_stale = True
         run = len(self.reinit_events)
         self.level = sample_levels(self.g.n, self.k, derive_seed(self.seed, 0x6A, run))
+        if run:
+            self._retired_reads = self._reporter_reads()
         self.alg = PathReporter(
             self.g.copy(),
             self.depth,
@@ -350,13 +354,23 @@ class AlgSpannerState:
         Every update is exactly one of helper_untouched (a deleted edge
         that G~ did not keep), helper_bfs_settled (an inserted edge that
         one search showed G~ does not need) and suffix_reruns;
-        suffix_edges_scanned sums the edges those reruns rescanned.
+        suffix_edges_scanned sums the edges those reruns rescanned.  The
+        path core's read counters follow under a reporter_ prefix,
+        summed over every path core since construction.
         """
         return {
             "updates": self.update_count,
             **self._counts,
             "reinits": len(self.reinit_events),
             "fallback_pairs": len(self.fallback_pairs),
+            **{f"reporter_{key}": v for key, v in self._reporter_reads().items()},
+        }
+
+    def _reporter_reads(self) -> dict[str, int]:
+        """The current path core's read counters plus the retired ones'."""
+        return {
+            key: self._retired_reads.get(key, 0) + v
+            for key, v in self.alg.stats().items()
         }
 
     def edge_list_text(self) -> str:

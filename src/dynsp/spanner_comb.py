@@ -15,6 +15,14 @@ block when the distance outgrows the threshold.  A vertex is active
 iff it holds no blocks.  Activeness is monotone per mode: deletions
 only activate, insertions only deactivate.
 
+The static construction evaluates the predicate without a BFS per
+vertex.  x at level i is blocked iff max over a at a higher level j of
+floor(threshold(j, i)) - dist(a, x) is >= 0, and that maximum is what a
+multi-source BFS computes when every higher-level vertex starts with
+its floor as a budget and budgets drop by one per hop, expanded in
+descending order (Dial's buckets).  So one such pass per blockee level
+i < k decides every level-i vertex, in O(n + m) each.
+
 The fully dynamic variant simply reruns the static construction after
 every update (sp_rebuild_update); RebuildSpanner wraps that with lazy
 evaluation so consumers that only look at H at query time skip
@@ -39,7 +47,6 @@ from .graph import (
     InsertEdge,
     apply_update,
     bfs_dist,
-    bfs_dist_bounded,
     graph_of,
 )
 
@@ -115,18 +122,40 @@ class SpannerState:
         return self._thresholds[j][i]
 
     def recompute_active_from_scratch(self) -> dict[int, bool]:
-        """Evaluate the activeness predicate directly from BFS distances."""
-        blocked = set()
-        for a in range(self.g.n):
-            j = self.level[a]
-            if j == 0:
+        """The activeness predicate, from one budgeted BFS per blockee level.
+
+        x at level i is blocked iff some a at level j > i has
+        dist(a, x) <= floors[j][i], that is iff the largest
+        floors[j][i] - dist(a, x) over those a is >= 0.  For each i < k
+        every vertex above level i starts with budget
+        min(floors[level][i], n), since no distance reaches n; budgets
+        spread outward one less per hop in descending buckets (Dial's
+        order), so each vertex settles at that maximum, and the level-i
+        vertices that settle at a budget >= 0 are the blocked ones.
+        """
+        g, n, level, k = self.g, self.g.n, self.level, self.k
+        blocked: set[int] = set()
+        for i in range(k):
+            blockees = [v for v in range(n) if level[v] == i]
+            seeds = [a for a in range(n) if level[a] > i]
+            if not blockees or not seeds:
                 continue
-            floors = self._floors[j]
-            for x, dx in bfs_dist_bounded(self.g, a, floors[0]).items():
-                i = self.level[x]
-                if i < j and dx <= floors[i]:
-                    blocked.add(x)
-        return {v: v not in blocked for v in range(self.g.n)}
+            best = [-1] * n
+            for a in seeds:
+                best[a] = min(self._floors[level[a]][i], n)
+            buckets: list[list[int]] = [[] for _ in range(max(best) + 1)]
+            for a in seeds:
+                buckets[best[a]].append(a)
+            for b in range(len(buckets) - 1, 0, -1):
+                for u in buckets[b]:
+                    if best[u] != b:
+                        continue  # settled earlier at a larger budget
+                    for v in g.adj[u]:
+                        if best[v] < b - 1:
+                            best[v] = b - 1
+                            buckets[b - 1].append(v)
+            blocked.update(x for x in blockees if best[x] >= 0)
+        return {v: v not in blocked for v in range(n)}
 
     def _init_active(self) -> None:
         self.active = self.recompute_active_from_scratch()
@@ -263,6 +292,7 @@ class RebuildSpanner:
         self.seed = seed
         self.k = k
         self._counter = 0
+        self._rebuilds = 0
         self._state: SpannerState | None = None
 
     @property
@@ -279,7 +309,16 @@ class RebuildSpanner:
             self._state = sp_rebuild_update(
                 self.g, self.eps, derive_seed(self.seed, self._counter), k=self.k
             )
+            self._rebuilds += 1
         return self._state
+
+    def stats(self) -> dict[str, int]:
+        """Deterministic counters of the work done since construction.
+
+        updates counts applied edge events and rebuilds the static
+        constructions actually run: at most one per observed snapshot.
+        """
+        return {"updates": self._counter, "rebuilds": self._rebuilds}
 
     def edges(self) -> set:
         return set(self._ensure().H)

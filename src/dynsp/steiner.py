@@ -8,7 +8,10 @@ distance provider the tree weight is within (2+eps) of optimum.
 Everything downstream of the distance provider is recomputed per
 operation: the closure after an edge event, as one |S| x |S| block of
 distances from the provider (one 1 x |S| row on terminal addition,
-none on removal), then the MST, then the expansion.  Overlapping
+none on removal), then the MST, then the expansion, as one column read
+over the far ends of every MST edge (ApproxApsp.paths).  So an edge
+update with two or more terminals costs the provider two reads, plus a
+BFS on its spanner per closure row or path beyond D.  Overlapping
 expanded paths are counted once because the reported tree is a
 spanning tree of their union, extracted by BFS from the lowest-indexed
 terminal.
@@ -64,6 +67,7 @@ class SteinerState:
         self.provider = provider or ApproxApsp(g, eps / 2, seed=seed)
         self.S: set[int] = set()
         self.closure: dict[int, dict[int, float]] = {}
+        self._closure_reads = 0
         for v in sorted(set(terminals)):
             self._add_closure_row(v)
             self.S.add(v)
@@ -74,6 +78,7 @@ class SteinerState:
     def _add_closure_row(self, v: int) -> None:
         terms = sorted(self.S)
         row = self.provider.dist_block([v], terms)[0].tolist()
+        self._closure_reads += 1
         self.closure[v] = dict(zip(terms, row))
         for w, d in zip(terms, row):
             self.closure[w][v] = d
@@ -82,6 +87,7 @@ class SteinerState:
         """The closure from one block; each pair a < b reads entry (a, b)."""
         terms = sorted(self.S)
         block = self.provider.dist_block(terms, terms).tolist()
+        self._closure_reads += 1
         self.closure = {v: {} for v in terms}
         for x, a in enumerate(terms):
             for y in range(x + 1, len(terms)):
@@ -126,6 +132,14 @@ class SteinerState:
     def dist(self, u: int, v: int) -> float:
         """The provider's distance estimate."""
         return self.provider.approx_dist(u, v)
+
+    def stats(self) -> dict[str, int]:
+        """Deterministic counters: the provider's, plus closure_reads.
+
+        closure_reads counts the closure blocks asked of the provider:
+        one per edge update and one per terminal addition.
+        """
+        return {**self.provider.stats(), "closure_reads": self._closure_reads}
 
     # ---- construction ------------------------------------------------------
 
@@ -181,8 +195,7 @@ class SteinerState:
         if len(groups) > 1:
             raise Disconnected(groups)
         union: dict[int, set[int]] = {}
-        for a, b2 in self._mst_edges():
-            path = self.provider.approx_path(a, b2)
+        for path in self.provider.paths(self._mst_edges()):
             for x, y in zip(path, path[1:]):
                 union.setdefault(x, set()).add(y)
                 union.setdefault(y, set()).add(x)

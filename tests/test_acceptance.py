@@ -17,6 +17,7 @@ import pytest
 
 from inverse_oracles import adjacency, identity, series_inverse
 from test_inverse import oracle_det
+from test_spanner_comb import bfs_active
 from test_steiner import opt_steiner
 
 from dynsp._kernels import min_degree_arr, poly_mat_mul, sub_mod
@@ -331,7 +332,7 @@ def _check_comb_state(st, g):
     mask = np.isfinite(dg)
     assert (dh[mask] <= 2 * dg[mask] + 2 * math.ceil(8**3)).all()
     assert len(st.H) <= 8 * g.n**1.5 * math.log2(g.n) ** 2
-    assert st.active == st.recompute_active_from_scratch()
+    assert st.active == bfs_active(st) == st.recompute_active_from_scratch()
 
 
 def test_05_combinatorial_spanner_decremental_and_incremental():

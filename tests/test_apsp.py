@@ -14,6 +14,8 @@ from dynsp.graph import (
     InsertEdge,
     all_pairs_dist,
     apply_update,
+    bfs_dist,
+    bfs_path,
     validate_path,
 )
 from dynsp.reporter import BEYOND
@@ -190,3 +192,73 @@ def test_approx_dist_block_within_d_leaves_the_spanner_unbuilt():
     assert aa._h_graph is None
     assert aa.dist_block([0], [15]).tolist() == [[aa.approx_dist(0, 15)]]
     assert aa._h_graph is not None
+
+
+# ---- paths from one column read against one distance read per path -------------
+
+
+class PerPairPaths(ApproxApsp):
+    """ApproxApsp reading every path as a distance read and then a column
+    read (the reference for paths)."""
+
+    def path(self, i, j):
+        if self.pr.pr_dist(i, j) is not BEYOND:
+            return self.pr.pr_path(i, j)
+        return bfs_path(self._spanner_graph(), i, j)
+
+    def paths(self, pairs):
+        return [self.path(i, j) for i, j in pairs]
+
+
+@given(
+    seed=hst.integers(0, 2**16),
+    steps=hst.integers(0, 6),
+    pairs=hst.lists(hst.tuples(hst.integers(0, 17), hst.integers(0, 17)), max_size=8),
+)
+@settings(max_examples=25, deadline=None)
+def test_paths_match_one_read_per_path(seed, steps, pairs):
+    g = path_graph(18)
+    g.delete_edge(12, 13)  # unreachable pairs have no path
+    st, ref = (cls(g.copy(), eps=1, seed=seed, D=4, spanner_k=1) for cls in (ApproxApsp, PerPairPaths))
+    for ev in random_events(g.copy(), random.Random(seed), steps):
+        st.apply(ev)
+        ref.apply(ev)
+    before = st.stats()
+    assert st.paths(pairs) == ref.paths(pairs)
+    after = st.stats()
+    # one column read over the distinct far ends; a BFS on H per pair beyond D
+    far_ends = len({j for _i, j in pairs})
+    beyond = sum(ref.pr.pr_dist(i, j) is BEYOND for i, j in pairs)
+    assert after["block_reads"] - before["block_reads"] == (1 if pairs else 0)
+    assert after["column_reads"] - before["column_reads"] == far_ends
+    assert after["spanner_rows"] - before["spanner_rows"] == beyond
+    assert (st._h_graph is not None) == (beyond > 0)
+    for i, j in pairs:
+        assert st.path(i, j) == ref.path(i, j)
+
+
+def test_approx_stats_count_reads_fallbacks_and_rebuilds_and_repeat():
+    def run():
+        rng = random.Random(4)
+        g = path_graph(18)
+        aa = ApproxApsp(g.copy(), eps=1, seed=5, D=4, spanner_k=1)
+        rows = rebuilds = 0
+        for ev in random_events(g.copy(), rng, 6):
+            apply_update(g, ev)
+            aa.apply(ev)
+            aa.dist(0, 17)
+            aa.path(0, 3)
+            far = [bfs_dist(g, 0)[j] > 4 for j in (17, 3)]
+            rows += sum(far)
+            rebuilds += any(far)
+        return aa.stats(), rows, rebuilds
+
+    stats, rows, rebuilds = run()
+    assert (stats, rows, rebuilds) == run()
+    assert rows > 0
+    assert stats["spanner_updates"] == 6
+    # an explicit D reads no beta at set-up: one construction per update
+    # after which some read went past D
+    assert stats["spanner_rebuilds"] == rebuilds
+    assert stats["spanner_rows"] == rows
+    assert stats["column_reads"] == 6 and stats["block_reads"] == 12

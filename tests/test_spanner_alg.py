@@ -369,12 +369,20 @@ def test_lowered_reinit_threshold_reinitialises_and_still_matches():
     st.reinit_threshold = ref.reinit_threshold = 20
     for ev in mixed_events(g, rng, 12):
         passes = st.stats()["deactivation_passes"]
+        total, core = st.stats(), st.alg
+        core_before = core.stats()
         st.alg_update(ev)
         ref.alg_update(ev)
         assert_matches_full_rebuild(st, ref)
         assert st.reinit_events[-1] == st.update_count
         assert st.stats()["deactivation_passes"] > passes
+        # the reporter_ counters carry the replaced core's reads over
+        assert st.alg is not core
+        for key, v in st.alg.stats().items():
+            grown = core.stats()[key] - core_before[key] + v
+            assert st.stats()[f"reporter_{key}"] == total[f"reporter_{key}"] + grown
     assert st.stats()["reinits"] == 12
+    assert st.stats()["reporter_block_reads"] > st.alg.stats()["block_reads"]
 
 
 def test_stats_repeat_exactly_on_one_seed():

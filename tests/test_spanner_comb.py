@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from dynsp._kernels import derive_seed
 from dynsp.estree import DECREMENTAL, INCREMENTAL, ModeViolation
@@ -14,6 +16,8 @@ from dynsp.graph import (
     DynamicGraph,
     InsertEdge,
     all_pairs_dist,
+    bfs_dist_bounded,
+    graph_of,
 )
 from dynsp.spanner_comb import (
     REBUILD,
@@ -38,6 +42,22 @@ def random_graph(n, m, seed):
     return g, rng
 
 
+def bfs_active(st: SpannerState) -> dict[int, bool]:
+    """The activeness predicate from one bounded BFS per vertex above
+    level 0 (the reference for the budgeted BFS)."""
+    blocked = set()
+    for a in range(st.g.n):
+        j = st.level[a]
+        if j == 0:
+            continue
+        floors = st._floors[j]
+        for x, dx in bfs_dist_bounded(st.g, a, floors[0]).items():
+            i = st.level[x]
+            if i < j and dx <= floors[i]:
+                blocked.add(x)
+    return {v: v not in blocked for v in range(st.g.n)}
+
+
 def check_state(st: SpannerState):
     g = st.g
     for u, v in st.H:
@@ -51,7 +71,7 @@ def check_state(st: SpannerState):
         for j in range(g.n):
             if dg[i][j] < math.inf:
                 assert dh[i][j] <= (1 + st.eps) * dg[i][j] + st.beta_certificate
-    assert st.active == st.recompute_active_from_scratch()
+    assert st.active == bfs_active(st) == st.recompute_active_from_scratch()
 
 
 def test_decremental_maintenance_matches_scratch():
@@ -210,3 +230,56 @@ def test_rebuild_spanner_distances_are_bfs_on_its_edges():
         for _ in range(10):
             u, v = rng.sample(range(20), 2)
             assert sp.dist(u, v) == h[u][v]
+
+
+# ---- the budgeted activeness against one BFS per vertex ------------------------
+
+
+@hst.composite
+def leveled_graphs(draw):
+    """(graph, k, eps, levels): sparse enough to be disconnected often,
+    with levels drawn freely, so some levels hold no vertex."""
+    n = draw(hst.integers(1, 18))
+    k = draw(hst.sampled_from([1, 2, 3]))
+    eps = draw(hst.sampled_from([1, Fraction(1, 2), Fraction(1, 4)]))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(hst.lists(hst.sampled_from(pairs), max_size=2 * n, unique=True)) if pairs else []
+    levels = draw(hst.lists(hst.integers(0, k), min_size=n, max_size=n))
+    # floors below the graph's diameter, non-increasing in the blockee
+    # level as the real ones are: the real floors (>= 56) exceed every
+    # distance in a graph this small
+    floors = [
+        sorted(draw(hst.lists(hst.integers(0, n), min_size=k + 1, max_size=k + 1)), reverse=True)
+        for _ in range(k + 1)
+    ]
+    return graph_of(n, edges), k, eps, levels, floors
+
+
+@given(case=leveled_graphs(), seed=hst.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+@example(case=(graph_of(1, []), 1, 1, [1], [[0, 0], [1, 0]]), seed=0)
+@example(
+    case=(
+        graph_of(6, [(0, 1), (2, 3)]), 3, Fraction(1, 4), [0, 3, 0, 3, 1, 0],
+        [[0] * 4, [1] * 4, [2] * 4, [3, 1, 1, 0]],
+    ),
+    seed=1,
+)
+def test_budgeted_activeness_equals_one_bfs_per_vertex(case, seed):
+    g, k, eps, levels, floors = case
+    st = SpannerState(g, eps=eps, seed=seed, k=k)
+    assert st.active == bfs_active(st) == st.recompute_active_from_scratch()
+    st.level = levels
+    assert st.recompute_active_from_scratch() == bfs_active(st)
+    st._floors = floors
+    assert st.recompute_active_from_scratch() == bfs_active(st)
+
+
+def test_budgeted_activeness_on_a_path_stops_at_the_floor():
+    # eps = 1, k = 1: floors[1][0] = 64 - 8 = 56, so on an 80-path the
+    # level-1 end blocks exactly vertices 1..56
+    st = SpannerState(graph_of(80, [(v, v + 1) for v in range(79)]), eps=1, seed=0, k=1)
+    st.level = [1] + [0] * 79
+    active = st.recompute_active_from_scratch()
+    assert [v for v in range(80) if not active[v]] == list(range(1, 57))
+    assert active == bfs_active(st)

@@ -8,6 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from test_apsp import PerPairPaths
+from test_spanner_comb import bfs_active
+
+from dynsp._kernels import derive_seed
 from dynsp.apsp import ApproxApsp
 from dynsp.graph import (
     AddTerminal,
@@ -18,6 +22,7 @@ from dynsp.graph import (
     apply_update,
     bfs_dist,
 )
+from dynsp.spanner_comb import REBUILD, RebuildSpanner, SpannerState
 from dynsp.steiner import (
     Disconnected,
     SteinerState,
@@ -258,3 +263,96 @@ def test_block_closure_and_tree_equal_the_per_pair_closure(seed):
         st.apply(ev)
         ref.apply(ev)
     assert beyond > 0
+
+
+# ---- the batched expansion against one path read per MST edge ----------------
+
+
+class _BfsActiveState(SpannerState):
+    def recompute_active_from_scratch(self):
+        return bfs_active(self)
+
+
+class _BfsActiveSpanner(RebuildSpanner):
+    """RebuildSpanner whose constructions decide activeness with one BFS
+    per vertex (the reference for the budgeted BFS)."""
+
+    def _ensure(self):
+        if self._state is None:
+            seed = derive_seed(self.seed, self._counter)
+            self._state = _BfsActiveState(self.g, self.eps, seed, REBUILD, k=self.k)
+        return self._state
+
+
+def _steiner_pair(g, terminals, seed):
+    """SteinerState and its reference: per-edge path reads over a spanner
+    with per-vertex activeness; D = 3 sends some reads to the spanner."""
+    st = SteinerState(
+        g.copy(), terminals, eps=1, seed=seed,
+        provider=ApproxApsp(g.copy(), 0.5, seed=seed, D=3, spanner_k=2),
+    )
+    spanner = _BfsActiveSpanner(g.copy(), 0.25, derive_seed(seed, 0x5A), k=2)
+    ref = SteinerState(
+        g.copy(), terminals, eps=1, seed=seed,
+        provider=PerPairPaths(g.copy(), 0.5, seed=seed, spanner=spanner, D=3),
+    )
+    return st, ref
+
+
+@given(seed=hst.integers(0, 2**16))
+@settings(max_examples=6, deadline=None)
+def test_tree_and_spanner_equal_the_per_edge_expansion(seed):
+    rng = random.Random(seed)
+    g = _grid(6)
+    st, ref = _steiner_pair(g, rng.sample(range(36), 4), seed)
+    edge_updates = 0
+    for _ in range(24):
+        assert st.tree.edges == ref.tree.edges and st.tree.vertices == ref.tree.vertices
+        assert st.provider.spanner.edges() == ref.provider.spanner.edges()
+        roll = rng.random()
+        if roll < 0.2 and len(st.S) > 2:
+            ev = RemoveTerminal(rng.choice(sorted(st.S)))
+        elif roll < 0.4:
+            ev = AddTerminal(rng.choice([v for v in range(36) if v not in st.S]))
+        else:
+            u, v = rng.sample(range(36), 2)
+            ev = DeleteEdge(u, v) if g.has_edge(u, v) else InsertEdge(u, v)
+            apply_update(g, ev)
+            if INF in bfs_dist(g, 0):  # keep the terminals connected
+                g.insert_edge(u, v)
+                continue
+            edge_updates += 1
+        before = st.stats()
+        st.apply(ev)
+        ref.apply(ev)
+        after = st.stats()
+        if isinstance(ev, (InsertEdge, DeleteEdge)):
+            # one closure block and one column block over the MST's far ends
+            assert after["block_reads"] - before["block_reads"] == 2
+            assert after["closure_reads"] - before["closure_reads"] == 1
+            far_ends = {b2 for _a, b2 in st._mst_edges()}
+            assert after["column_reads"] - before["column_reads"] == len(far_ends)
+    assert edge_updates > 0
+    assert st.stats()["spanner_rows"] > 0  # the regime under test: reads past D
+
+
+def test_steiner_stats_repeat_on_one_seed():
+    def run():
+        rng = random.Random(3)
+        g = _grid(5)
+        st = SteinerState(
+            g.copy(), [0, 24], eps=1, seed=3,
+            provider=ApproxApsp(g.copy(), 0.5, seed=3, D=3, spanner_k=1),
+        )
+        st.apply(AddTerminal(4))
+        st.apply(RemoveTerminal(0))
+        for e in rng.sample(sorted(g.edges()), 3):
+            st.apply(DeleteEdge(*e))
+            st.apply(InsertEdge(*e))
+        return st.stats()
+
+    stats = run()
+    assert stats == run()
+    # two additions at set-up, one more, then one closure per edge update
+    assert stats["closure_reads"] == 3 + 6
+    assert stats["spanner_updates"] == 6
