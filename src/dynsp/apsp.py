@@ -9,6 +9,15 @@ matrix for path reconstruction) after every update:
 
     dist(i,j) = min(D^D_ij, min_{p,q in H} D^D_ip + fw(p,q) + D^D_qj)
 
+The closure's input, the capped H x H distances, is kept as well.  The
+view is updated exactly with every inverse update, so its rows and
+columns equal a fresh read, and a query reads only what it does not
+hold.  A distance reads nothing when both ends are in H, and otherwise
+one row block for an i outside H and one full column for a j outside
+H (that column also holds the short distance).  A path makes the same
+reads, plus one column block over the segments' far ends whose column
+it does not yet have: at most three reads, each walked hop by hop.
+
 Approximate flavor: distances <= D are answered exactly by the
 reporter; anything longer falls back to BFS on a companion spanner,
 whose multiplicative-plus-additive certificate bounds the error.  A
@@ -36,6 +45,11 @@ class StitchFailure(RuntimeError):
     """A stitched segment exceeded D; low-probability randomness failure."""
 
 
+def _capped(md, D: int):
+    """Min-degrees as float distances: INF beyond D."""
+    return np.where(md <= D, md.astype(float), INF)
+
+
 class HittingSetApsp:
     def __init__(
         self,
@@ -55,9 +69,12 @@ class HittingSetApsp:
         else:
             rng = np.random.default_rng(derive_seed(seed, 0x11))
             self.H = sorted(int(v) for v in rng.choice(n, size=target, replace=False))
+        self._h_index = {v: a for a, v in enumerate(self.H)}
         self.sub = self.pr.host.register_submatrix(self.H)
+        self._w_hh: np.ndarray | None = None
         self.fw_dist: np.ndarray | None = None
         self.fw_next: np.ndarray | None = None
+        self._counts = dict.fromkeys(("stitched", "closure_answers", "stitch_failures"), 0)
         self._recompute_fw()
 
     # ---- maintenance -------------------------------------------------------
@@ -72,9 +89,11 @@ class HittingSetApsp:
     def _recompute_fw(self) -> None:
         h = len(self.H)
         md = min_degree_arr(self.sub.cached) if h else np.zeros((0, 0))
-        w = np.where(md <= self.D, md.astype(float), INF)
+        w = _capped(md, self.D)
         if h:
             np.fill_diagonal(w, 0.0)
+        w.flags.writeable = False
+        self._w_hh = w  # the closure's input: distances within H, kept for queries
         nxt = np.where(np.isfinite(w), np.arange(h)[None, :], -1)
         if h:
             np.fill_diagonal(nxt, np.arange(h))
@@ -86,33 +105,53 @@ class HittingSetApsp:
                 nxt = np.where(better, nxt[:, k, None], nxt)
         self.fw_dist, self.fw_next = w, nxt
 
+    def stats(self) -> dict[str, int]:
+        """Deterministic counters of the work done since construction.
+
+        The path reporter's read counters, plus stitched for the queries
+        (distances and paths) whose answer came through H,
+        closure_answers for the distance queries between two distinct
+        vertices of H, answered from the kept closure without a read,
+        and stitch_failures for the queries that raised StitchFailure.
+        """
+        return {**self.pr.stats(), **self._counts}
+
     # ---- queries -----------------------------------------------------------
 
-    def _stitch_terms(self, i: int, j: int):
-        """min-degree rows/columns towards H, as float vectors with INF."""
-        row = min_degree_arr(self.pr.host.query_rows([i])[0][self.H])
-        col = min_degree_arr(self.pr.host.query_col(j, rows=self.H))
-        row = np.where(row <= self.D, row.astype(float), INF)
-        col = np.where(col <= self.D, col.astype(float), INF)
-        for a, v in enumerate(self.H):  # self-distances are zero by definition
-            if v == i:
-                row[a] = 0.0
-            if v == j:
-                col[a] = 0.0
-        return row, col
-
     def _stitch(self, i: int, j: int):
-        """(short distance, stitched lengths over H x H or None, their min)."""
-        short = self.pr.dist(i, j)
-        if not self.H:
-            return short, None, short
-        row, col = self._stitch_terms(i, j)
-        cand = row[:, None] + self.fw_dist + col[None, :]
-        return short, cand, min(short, float(cand.min()))
+        """(short distance, stitched lengths over H x H, their min, column j).
+
+        For i != j.  Row i over H is row a of the kept H x H distances
+        when i = H[a], otherwise one dist_block([i], H) read; column j
+        over H is column b of them when j = H[b], otherwise one
+        column_block([j]) read, whose full column is returned for the
+        path walk (None when it was not read).  The short distance comes
+        from the kept block, the column or the row, whichever holds it.
+        The kept block equals a fresh read because the H x H view is
+        updated exactly with every inverse update.  So a distance costs
+        at most two reads, and none when both ends are in H.
+        """
+        D, H, w = self.D, self.H, self._w_hh
+        a, b = self._h_index.get(i), self._h_index.get(j)
+        from_i = w[a] if a is not None else _capped(self.pr.dist_block([i], H)[0], D)
+        col = None
+        if b is None:
+            col = self.pr.column_block([j])[j]
+            to_j = _capped(np.asarray(col)[H], D)
+            short = float(col[i]) if col[i] <= D else INF
+        else:
+            to_j = w[:, b]
+            short = float(from_i[b])
+        cand = from_i[:, None] + self.fw_dist + to_j[None, :]
+        total = min(short, float(cand.min())) if cand.size else short
+        self._counts["stitched"] += total < short
+        return short, cand, total, col
 
     def exact_dist(self, i: int, j: int) -> float:
         if i == j:
             return 0.0
+        if i in self._h_index and j in self._h_index:
+            self._counts["closure_answers"] += 1
         return self._stitch(i, j)[2]
 
     def dist(self, i: int, j: int) -> float:
@@ -121,7 +160,7 @@ class HittingSetApsp:
     def exact_dist_matrix(self) -> np.ndarray:
         """All-pairs distances at once (the acceptance-audit fast path)."""
         md = self.pr.dist_matrix()
-        short = np.where(md <= self.D, md.astype(float), INF)
+        short = _capped(md, self.D)
         np.fill_diagonal(short, 0.0)
         if not self.H:
             return short
@@ -142,31 +181,44 @@ class HittingSetApsp:
             raise ValueError(f"({i}, {j}) disconnected")
         return path
 
+    def _fail(self, msg: str):
+        self._counts["stitch_failures"] += 1
+        raise StitchFailure(msg)
+
     def path(self, i: int, j: int):
-        """A shortest i-j path; None when j is unreachable."""
+        """A shortest i-j path; None when j is unreachable.
+
+        The stitch's reads, plus one column_block over the far ends of
+        the segments whose column it did not read: at most three reads.
+        A short path walks column j; a stitched one takes the first
+        (p, q) in row-major order that attains the minimum, follows the
+        closure's successors from H[p] to H[q] and walks each segment
+        down its far end's column.
+        """
         if i == j:
             return [i]
-        short, cand, total = self._stitch(i, j)
+        short, cand, total, col = self._stitch(i, j)
         if total == INF:
             return None
+        pr = self.pr
         if short == total:
-            return self.pr.pr_path(i, j)
-        hits = np.argwhere(cand == total)
-        p, q = min((int(a), int(b)) for a, b in hits)  # deterministic tie-break
+            return pr.walk(col if col is not None else pr.column_block([j])[j], i, j)
+        p, q = divmod(int(np.flatnonzero(cand == total)[0]), len(self.H))
         waypoints = [p]
         while waypoints[-1] != q:
             nxt = int(self.fw_next[waypoints[-1], q])
             if nxt < 0:
-                raise StitchFailure(f"broken successor chain {p}->{q}")
+                self._fail(f"broken successor chain {p}->{q}")
             waypoints.append(nxt)
         stops = [i] + [self.H[w] for w in waypoints] + [j]
+        segments = [(a, b) for a, b in zip(stops, stops[1:]) if a != b]
+        cols = {} if col is None else {j: col}
+        cols.update(pr.column_block(sorted({b for _a, b in segments} - cols.keys())))
         path = [i]
-        for a, b in zip(stops, stops[1:]):
-            if a == b:
-                continue
-            if self.pr.pr_dist(a, b) is BEYOND:
-                raise StitchFailure(f"segment ({a}, {b}) exceeds D={self.D}")
-            path.extend(self.pr.pr_path(a, b)[1:])
+        for a, b in segments:
+            if cols[b][a] > self.D:
+                self._fail(f"segment ({a}, {b}) exceeds D={self.D}")
+            path.extend(pr.walk(cols[b], a, b)[1:])
         return path
 
 

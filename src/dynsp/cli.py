@@ -5,8 +5,7 @@ Subcommands:
     gen     write an update script (gadget constructions or random graphs)
     run     replay a script against one structure, emit answers as CSV;
             with --stats, also print the structure's stats() counters as
-            one JSON line on stderr (every structure but exact-apsp
-            and bfs-oracle)
+            one JSON line on stderr (every structure but bfs-oracle)
     verify  replay against the structure AND the BFS oracle, check every
             answer against the structure's certificate
     bench   timed replay with warmup; per-update/per-query percentiles

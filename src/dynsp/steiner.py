@@ -8,10 +8,11 @@ distance provider the tree weight is within (2+eps) of optimum.
 Everything downstream of the distance provider is recomputed per
 operation: the closure after an edge event, as one |S| x |S| block of
 distances from the provider (one 1 x |S| row on terminal addition,
-none on removal), then the MST, then the expansion, as one column read
-over the far ends of every MST edge (ApproxApsp.paths).  So an edge
-update with two or more terminals costs the provider two reads, plus a
-BFS on its spanner per closure row or path beyond D.  Overlapping
+none on removal, none with fewer than two terminals), then the MST,
+then the expansion, as one column read over the far ends of every MST
+edge (ApproxApsp.paths).  So an edge update with two or more terminals
+costs the provider two reads, plus a BFS on its spanner per closure
+row or path beyond D, and one with fewer costs none.  Overlapping
 expanded paths are counted once because the reported tree is a
 spanning tree of their union, extracted by BFS from the lowest-indexed
 terminal.
@@ -78,17 +79,22 @@ class SteinerState:
     def _add_closure_row(self, v: int) -> None:
         terms = sorted(self.S)
         row = self.provider.dist_block([v], terms)[0].tolist()
-        self._closure_reads += 1
+        self._closure_reads += bool(terms)  # the first terminal reads nothing
         self.closure[v] = dict(zip(terms, row))
         for w, d in zip(terms, row):
             self.closure[w][v] = d
 
     def _recompute_closure(self) -> None:
-        """The closure from one block; each pair a < b reads entry (a, b)."""
+        """The closure from one block; each pair a < b reads entry (a, b).
+
+        Fewer than two terminals have no pair, and read nothing.
+        """
         terms = sorted(self.S)
+        self.closure = {v: {} for v in terms}
+        if len(terms) < 2:
+            return
         block = self.provider.dist_block(terms, terms).tolist()
         self._closure_reads += 1
-        self.closure = {v: {} for v in terms}
         for x, a in enumerate(terms):
             for y in range(x + 1, len(terms)):
                 b2, d = terms[y], block[x][y]
@@ -136,8 +142,9 @@ class SteinerState:
     def stats(self) -> dict[str, int]:
         """Deterministic counters: the provider's, plus closure_reads.
 
-        closure_reads counts the closure blocks asked of the provider:
-        one per edge update and one per terminal addition.
+        closure_reads counts the closure blocks read from the provider:
+        one per edge update with at least two terminals, and one per
+        terminal added to a non-empty set.
         """
         return {**self.provider.stats(), "closure_reads": self._closure_reads}
 

@@ -3,11 +3,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from dynsp.apsp import ApproxApsp, HittingSetApsp
+from dynsp._kernels import min_degree_arr
+from dynsp.apsp import ApproxApsp, HittingSetApsp, StitchFailure
 from dynsp.graph import (
     DeleteEdge,
     DynamicGraph,
@@ -262,3 +264,175 @@ def test_approx_stats_count_reads_fallbacks_and_rebuilds_and_repeat():
     assert stats["spanner_rebuilds"] == rebuilds
     assert stats["spanner_rows"] == rows
     assert stats["column_reads"] == 6 and stats["block_reads"] == 12
+
+
+# ---- exact queries from the kept closure against per-pair reads ----------------
+
+
+class PerPairStitch(HittingSetApsp):
+    """HittingSetApsp reading every row, column and segment one query at a
+    time (the reference for the exact queries)."""
+
+    def _stitch_terms(self, i, j):
+        row = min_degree_arr(self.pr.host.query_rows([i])[0][self.H])
+        col = min_degree_arr(self.pr.host.query_col(j, rows=self.H))
+        row = np.where(row <= self.D, row.astype(float), INF)
+        col = np.where(col <= self.D, col.astype(float), INF)
+        for a, v in enumerate(self.H):
+            if v == i:
+                row[a] = 0.0
+            if v == j:
+                col[a] = 0.0
+        return row, col
+
+    def _stitch(self, i, j):
+        short = self.pr.dist(i, j)
+        if not self.H:
+            return short, None, short
+        row, col = self._stitch_terms(i, j)
+        cand = row[:, None] + self.fw_dist + col[None, :]
+        return short, cand, min(short, float(cand.min()))
+
+    def path(self, i, j):
+        if i == j:
+            return [i]
+        short, cand, total = self._stitch(i, j)
+        if total == INF:
+            return None
+        if short == total:
+            return self.pr.pr_path(i, j)
+        hits = np.argwhere(cand == total)
+        p, q = min((int(a), int(b)) for a, b in hits)
+        waypoints = [p]
+        while waypoints[-1] != q:
+            nxt = int(self.fw_next[waypoints[-1], q])
+            if nxt < 0:
+                raise StitchFailure(f"broken successor chain {p}->{q}")
+            waypoints.append(nxt)
+        stops = [i] + [self.H[w] for w in waypoints] + [j]
+        path = [i]
+        for a, b in zip(stops, stops[1:]):
+            if a == b:
+                continue
+            if self.pr.pr_dist(a, b) is BEYOND:
+                raise StitchFailure(f"segment ({a}, {b}) exceeds D={self.D}")
+            path.extend(self.pr.pr_path(a, b)[1:])
+        return path
+
+
+def _h_pairs(H, span):
+    """Far pairs within range(span), one of each kind: both ends, only i,
+    only j and neither in H; plus i == j in and out of H."""
+    ins = [v for v in range(span) if v in set(H)]
+    outs = [v for v in range(span) if v not in set(H)]
+    pairs = [(ins[0], ins[-1]), (ins[0], ins[0])]
+    if outs:
+        pairs += [(ins[0], outs[-1]), (outs[0], ins[-1]), (outs[0], outs[-1]), (outs[0], outs[0])]
+    return pairs
+
+
+def ladder_graph(length):
+    """Two rails of the given length joined by a rung at every position
+    (vertex 2c + r is rail r at position c): many shortest paths tie."""
+    g = DynamicGraph(2 * length)
+    for c in range(length):
+        g.insert_edge(2 * c, 2 * c + 1)
+        if c + 1 < length:
+            g.insert_edge(2 * c, 2 * c + 2)
+            g.insert_edge(2 * c + 1, 2 * c + 3)
+    return g
+
+
+def _split_path():
+    g = path_graph(40)
+    g.delete_edge(34, 35)  # unreachable pairs until an insertion joins the parts
+    return g, 35
+
+
+def _split_ladder():
+    g = ladder_graph(20)
+    g.delete_edge(36, 38)
+    g.delete_edge(37, 39)  # the last rung apart until an insertion joins it
+    return g, 38
+
+
+@given(
+    graph=hst.sampled_from([_split_path, _split_ladder]),
+    seed=hst.integers(0, 2**16),
+    D=hst.integers(16, 18),
+    steps=hst.integers(1, 6),
+    pairs=hst.lists(hst.tuples(hst.integers(0, 39), hst.integers(0, 39)), max_size=8),
+)
+@settings(max_examples=30, deadline=None)
+def test_exact_queries_match_per_pair_reads_within_the_read_bound(graph, seed, D, steps, pairs):
+    g, span = graph()
+    st, ref = (cls(g.copy(), D, seed=seed) for cls in (HittingSetApsp, PerPairStitch))
+    assert len(st.H) < g.n  # a sampled hitting set: pairs beyond D are stitched
+    in_h = set(st.H)
+    queries = pairs + _h_pairs(st.H, span) + [(0, 39)]
+    for ev in [None, *random_events(g.copy(), random.Random(seed), steps)]:
+        if ev is not None:
+            st.apply(ev)
+            ref.apply(ev)
+        for i, j in queries:
+            before = st.stats()["block_reads"]
+            assert st.exact_dist(i, j) == ref.exact_dist(i, j)
+            reads = st.stats()["block_reads"] - before
+            assert reads <= (0 if i == j or {i, j} <= in_h else 2)
+            before = st.stats()["block_reads"]
+            assert st.path(i, j) == ref.path(i, j)
+            assert st.stats()["block_reads"] - before <= 3
+
+
+def test_exact_stats_count_stitches_and_closure_answers_and_repeat():
+    def run():
+        rng = random.Random(5)
+        g = path_graph(40)
+        st = HittingSetApsp(g.copy(), 16, seed=6)
+        far_in_h = (st.H[0], st.H[-1])
+        for ev in random_events(g.copy(), rng, 6):
+            st.apply(ev)
+            st.dist(*far_in_h)
+            st.path(*far_in_h)
+            st.dist(0, 39)
+            st.path(39, 0)
+        return st, st.stats()
+
+    st, stats = run()
+    assert stats == run()[1]
+    assert stats["closure_answers"] == 6 + 6 * ({0, 39} <= set(st.H))
+    assert stats["stitched"] > 0 and stats["stitch_failures"] == 0
+    assert stats["block_reads"] > 0 and stats["column_reads"] > 0
+
+
+def _stitched_pair():
+    """A 12-path at D = 4, whose hitting set is every vertex: the pair
+    (0, 11) is stitched, and its stitch reads nothing."""
+    st = HittingSetApsp(path_graph(12), 4, seed=1)
+    assert st.H == list(range(12))
+    return st
+
+
+def test_an_overstated_segment_column_raises_stitch_failure(monkeypatch):
+    st = _stitched_pair()
+    assert st.path(0, 11) == list(range(12))
+    read = st.pr.column_block
+
+    def overstated(targets):
+        return {b: [st.D + 1 if a != b else 0 for a in range(len(col))] for b, col in read(targets).items()}
+
+    monkeypatch.setattr(st.pr, "column_block", overstated)
+    with pytest.raises(StitchFailure, match="exceeds D=4"):
+        st.exact_path(0, 11)
+    assert st.exact_dist(0, 11) == 11.0  # the distance reads no column
+    assert st.stats()["stitch_failures"] == 1
+
+
+def test_a_broken_successor_chain_raises_stitch_failure():
+    st = _stitched_pair()
+    st.fw_next = np.full_like(st.fw_next, -1)
+    with pytest.raises(StitchFailure, match="broken successor chain"):
+        st.path(0, 11)
+    assert st.stats()["stitch_failures"] == 1
+    st.apply(InsertEdge(0, 11))  # the closure and its successors are rebuilt
+    assert st.path(0, 11) == [0, 11]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from test_apsp import PerPairPaths
+from test_apsp import PerPairPaths, path_graph
 from test_spanner_comb import bfs_active
 
 from dynsp._kernels import derive_seed
@@ -353,6 +353,15 @@ def test_steiner_stats_repeat_on_one_seed():
 
     stats = run()
     assert stats == run()
-    # two additions at set-up, one more, then one closure per edge update
-    assert stats["closure_reads"] == 3 + 6
+    # the second addition at set-up (the first has no row to read), one
+    # more, then one closure per edge update
+    assert stats["closure_reads"] == 2 + 6
     assert stats["spanner_updates"] == 6
+
+
+def test_an_edge_update_with_one_terminal_reads_nothing():
+    g = path_graph(6)
+    st = SteinerState(g.copy(), [2], eps=1, seed=1, provider=ApproxApsp(g.copy(), 0.5, seed=1, D=6))
+    st.apply(InsertEdge(0, 5))
+    assert st.stats()["block_reads"] == 0 and st.stats()["closure_reads"] == 0
+    assert st.tree.vertices == {2} and st.closure == {2: {}}
