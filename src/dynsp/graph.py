@@ -186,10 +186,23 @@ def bfs_path(g: DynamicGraph, u: int, v: int) -> Optional[list[int]]:
     dist = bfs_dist(to_v, v)
     if dist[u] == INF:
         return None
-    path = [u]
-    while path[-1] != v:
-        cur = path[-1]
-        path.append(min(w for w in g.adj[cur] if dist[w] == dist[cur] - 1))
+    return descend(g, u, v, dist.__getitem__)
+
+
+def descend(g: DynamicGraph, i: int, j: int, dist_to) -> list[int]:
+    """The walk from i towards j down the distance lookup dist_to.
+
+    dist_to(v) is v's distance towards j, or None where unknown.  Every
+    step goes to the smallest-index neighbour one closer.  The walk
+    stops early where no neighbour qualifies, so then path[-1] != j.
+    """
+    path = [i]
+    while path[-1] != j:
+        want = dist_to(path[-1]) - 1
+        closer = [w for w in g.adj[path[-1]] if dist_to(w) == want]
+        if not closer:
+            break
+        path.append(min(closer))
     return path
 
 

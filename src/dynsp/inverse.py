@@ -174,10 +174,6 @@ class InverseState:
 
     # ---- updates -----------------------------------------------------------
 
-    def update_edge(self, i: int, j: int, present: bool) -> None:
-        """Convenience: apply the oriented edge change through dinv_update."""
-        self.dinv_update(i, j, self.A.entry_delta(i, j, present))
-
     def dinv_update(self, i: int, j: int, dv: np.ndarray, back=None) -> None:
         """Add dv to A[i, j], and back to A[j, i] when given, in one update."""
         p = self.p

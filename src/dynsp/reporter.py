@@ -5,16 +5,20 @@ entries: the min-degree of M^-1[i, j] is the distance from i to j when
 it is at most D, and it never undercuts that distance.  Paths come from
 one column: column j of M^-1 holds every vertex's min-degree towards
 j, so a path from i steps, hop by hop, to the smallest-index neighbour
-whose min-degree is one less.  Only j has min-degree 0, so every such
-walk uses present edges, ends at j and has the length pr_dist reports;
-a randomness failure that overstates a neighbour's min-degree surfaces
-as NoWitnessFound, never as a wrong path.
+whose min-degree is one less.  That is graph.descend, the one successor
+rule of the package: bfs_path and the spanner's BFS levels walk BFS
+distances by it too, so every structure reports the same path for a
+pair.  Only j has min-degree 0, so every such walk uses present edges,
+ends at j and has the length pr_dist reports; a randomness failure that
+overstates a neighbour's min-degree surfaces as NoWitnessFound, never
+as a wrong path.
 
 Reads come in blocks.  One inverse read costs about the same for one
 entry as for a few dozen, so dist_block answers a whole rows x cols set
 of distances from one read, and column_block reads every column that a
 set of walks needs at once; walk then follows one of those columns.
-The single-pair reads (pr_dist, path) stay one read each.
+The single-pair reads (pr_dist, path) stay one read each, and every
+read goes through _read.
 
 The paper finds each successor through witness sums instead, because
 it counts entry reads as the costly resource: for a copy with column
@@ -37,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import mat_mul_mod, min_degree_arr, mul_mod, rand_unit
-from .graph import DeleteEdge, DynamicGraph, IllegalUpdate, InsertEdge
+from .graph import DeleteEdge, DynamicGraph, IllegalUpdate, InsertEdge, descend
 from .inverse import DEFAULT_KAPPA, InverseState
 from .polymat import encode
 from .ring import FieldParams
@@ -134,12 +138,9 @@ class PathReporter:
 
     def _update(self, u: int, v: int, present: bool) -> None:
         """One inverse update: rank-1 for an arc, rank-2 for an undirected edge."""
-        host = self.host
-        if self.g.directed:
-            host.update_edge(u, v, present)
-        else:
-            delta = host.A.entry_delta
-            host.dinv_update(u, v, delta(u, v, present), delta(v, u, present))
+        delta = self.host.A.entry_delta
+        back = None if self.g.directed else delta(v, u, present)
+        self.host.dinv_update(u, v, delta(u, v, present), back)
 
     def apply(self, ev) -> None:
         if isinstance(ev, InsertEdge):
@@ -156,10 +157,10 @@ class PathReporter:
 
         block_reads counts inverse reads: one per non-empty dist_block
         (pr_dist of two distinct vertices is a 1 x 1 one), dist_matrix
-        and non-empty column_block call, and one per path or successor
-        query.  entries_read counts the entries they returned,
-        column_reads the columns read for walks, successor_steps the hops
-        walked and no_witness the walks that raised NoWitnessFound.
+        and non-empty column_block call (path makes a one-column one).
+        entries_read counts the entries they returned, column_reads the
+        columns read for walks, successor_steps the hops walked and
+        no_witness the walks that raised NoWitnessFound.
         """
         return dict(self._counts)
 
@@ -213,15 +214,6 @@ class PathReporter:
         sel = self.copy_masks[:, nbrs].astype(np.uint64)
         return mat_mul_mod(sel, q, p)
 
-    def _column(self, j: int) -> list[int]:
-        """Min-degrees of column j of M^-1: every vertex's towards j."""
-        col = min_degree_arr(self.host.query_col(j)).tolist()
-        counts = self._counts
-        counts["block_reads"] += 1
-        counts["entries_read"] += len(col)
-        counts["column_reads"] += 1
-        return col
-
     def column_block(self, targets) -> dict[int, list[int]]:
         """{j: min-degrees of column j} for every target, from one read."""
         targets = list(targets)
@@ -231,22 +223,6 @@ class PathReporter:
         self._counts["column_reads"] += len(targets)
         return dict(zip(targets, md.T.tolist()))
 
-    def _step(self, col: list[int], i: int, j: int) -> int:
-        """Smallest-index neighbour of i whose min-degree is one less."""
-        want = col[i] - 1
-        for s in sorted(self.g.adj[i]):
-            if col[s] == want:
-                self._counts["successor_steps"] += 1
-                return s
-        self._counts["no_witness"] += 1
-        raise NoWitnessFound(i, j, self.params.rng_seed)
-
-    def pr_successor(self, i: int, j: int) -> int:
-        col = self._column(j)
-        if not 1 <= col[i] <= self.D:
-            raise ValueError(f"pr_successor needs 1 <= dist <= D for ({i}, {j})")
-        return self._step(col, i, j)
-
     def pr_path(self, i: int, j: int) -> list[int]:
         path = self.path(i, j)
         if path is None:
@@ -255,13 +231,19 @@ class PathReporter:
 
     def path(self, i: int, j: int):
         """A shortest i-j path; None beyond D."""
-        return self.walk(self._column(j), i, j)
+        return self.walk(self.column_block([j])[j], i, j)
 
     def walk(self, col: list[int], i: int, j: int):
-        """The i-j path down col, the min-degrees of column j; None beyond D."""
+        """The i-j path down col, the min-degrees of column j; None beyond D.
+
+        Raises NoWitnessFound at the first vertex with no neighbour one
+        min-degree closer.
+        """
         if col[i] > self.D:
             return None
-        path = [i]
-        while path[-1] != j:
-            path.append(self._step(col, path[-1], j))
+        path = descend(self.g, i, j, col.__getitem__)
+        self._counts["successor_steps"] += len(path) - 1
+        if path[-1] != j:
+            self._counts["no_witness"] += 1
+            raise NoWitnessFound(path[-1], j, self.params.rng_seed)
         return path

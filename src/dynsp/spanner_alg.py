@@ -24,29 +24,41 @@ What an update maintains and what it recomputes:
 High levels (i >= gamma = floor(kappa*k)) fetch those paths from a
 dynamically maintained algebraic distance/path structure whose degree
 bound covers every level's length cap; low levels use plain bounded
-BFS.  Both produce exact shortest paths, so the split is purely a cost
-trade and the stretch audit cannot tell them apart.  A high level costs
-the path core two reads: one block of distances between all its active
-vertices, then one block of the columns towards every pair's far end
-that qualifies, which every path walk into that end follows.
+BFS, one from each pair's far end.  Both walk their distances towards
+the far end by the same rule (graph.descend: the smallest-index
+neighbour one closer), so both yield the same path for a pair, H does
+not depend on gamma, and the split is purely a cost trade.  A high
+level costs the path core two reads: one block of distances between
+all its active vertices, then one block of the columns towards every
+pair's far end that qualifies, which every path walk into that end
+follows.
 
 All thresholds are exact rationals.  Distances are integers, and
 d <= thr exactly when d <= floor(thr), so the comparisons run against
 tables of floors built once.  Randomness failures in the algebraic
-path walks fall back to BFS for that pair and are logged.
+path walks fall back to BFS for that pair, which yields the path the
+walk would have, and are logged.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
 from ._kernels import derive_seed
-from .graph import DynamicGraph, InsertEdge, apply_update, bfs_dist, bfs_dist_bounded, graph_of
+from .graph import (
+    DynamicGraph,
+    InsertEdge,
+    apply_update,
+    bfs_dist,
+    bfs_dist_bounded,
+    descend,
+    graph_of,
+)
 from .reporter import NoWitnessFound, PathReporter
-from .spanner_comb import sample_levels
+from .spanner_comb import default_k, sample_levels
 
 
 def greedy_spanner(g: DynamicGraph, stretch: int) -> set[tuple[int, int]]:
@@ -117,7 +129,7 @@ class AlgSpannerState:
         self.seed = seed
         n = g.n
         self.log2n = max(1.0, math.log2(n))
-        self.k = k if k is not None else max(1, math.ceil(math.sqrt(self.log2n)))
+        self.k = k if k is not None else default_k(n)
         self.eps_prime = self.eps / (20 * (self.k + 1))
         self.b = b if b is not None else math.ceil(self.log2n / self.eps_prime)
         self.gamma = math.floor(kappa * self.k)
@@ -246,35 +258,40 @@ class AlgSpannerState:
             if i >= self.gamma:
                 self._alg_level(members, thr)
             else:
-                for x, a in enumerate(members[:-1]):
-                    self._bfs_pairs(a, members[x + 1 :], thr)
+                self._bfs_pairs(combinations(members, 2), thr)
 
     def _alg_level(self, members: list[int], thr: int) -> None:
         """Paths for every pair a < a2 within thr, from two path-core reads.
 
         The pairs walk in (a, a2) order; a walk that finds no witness is
-        logged and its pair answered by BFS from a.
+        logged and its pair answered by BFS.
         """
         # D+1 encodes beyond D; D is below thr when n caps the core's degree
         close = np.triu(self.alg.dist_block(members, members) <= min(thr, self.alg.D), 1)
         pairs = [(members[x], members[y]) for x, y in np.argwhere(close).tolist()]
         cols = self.alg.column_block(sorted({a2 for _a, a2 in pairs}))
-        failed: dict[int, list[int]] = {}
+        failed = []
         for a, a2 in pairs:
             try:
                 self._add_path(self.alg.walk(cols[a2], a, a2))
             except NoWitnessFound:
-                self.fallback_pairs.append((a, a2))
-                failed.setdefault(a, []).append(a2)
-        for a, targets in failed.items():
-            self._bfs_pairs(a, targets, thr)
+                failed.append((a, a2))
+        self.fallback_pairs += failed
+        self._bfs_pairs(failed, thr)
 
-    def _bfs_pairs(self, a: int, targets, thr: int) -> None:
-        """Paths from a to every target within thr, from one bounded BFS."""
-        reach = self._bfs_parents(a, thr)
-        for a2 in targets:
-            if a2 in reach:
-                self._add_path(self._walk_parents(reach, a2))
+    def _bfs_pairs(self, pairs, thr: int) -> None:
+        """Paths for the pairs (a, a2) within thr, from one bounded BFS per a2.
+
+        Each path descends from a over the BFS distances towards a2.
+        """
+        starts: dict[int, list[int]] = {}
+        for a, a2 in pairs:
+            starts.setdefault(a2, []).append(a)
+        for a2, group in starts.items():
+            dist = bfs_dist_bounded(self.g, a2, thr)
+            for a in group:
+                if a in dist:
+                    self._add_path(descend(self.g, a, a2, dist.get))
 
     def _deactivation_pass(self, helper_g: DynamicGraph) -> list[bool]:
         """Descending-level BFS on the helper; exact per-level thresholds."""
@@ -293,28 +310,6 @@ class AlgSpannerState:
                     if p < j and dx <= floors[p][j]:
                         active[x] = False
         return active
-
-    def _bfs_parents(self, s: int, depth: int) -> dict[int, tuple[int, int]]:
-        """{v: (dist, parent)} within depth; parent is the smallest choice."""
-        out = {s: (0, -1)}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            du = out[u][0]
-            if du == depth:
-                continue
-            for v in sorted(self.g.adj[u]):
-                if v not in out:
-                    out[v] = (du + 1, u)
-                    q.append(v)
-        return out
-
-    def _walk_parents(self, reach: dict, t: int) -> list[int]:
-        path = [t]
-        while reach[path[-1]][1] != -1:
-            path.append(reach[path[-1]][1])
-        path.reverse()
-        return path
 
     def _add_path(self, path: list[int]) -> None:
         for a, b2 in zip(path, path[1:]):
@@ -372,11 +367,6 @@ class AlgSpannerState:
             key: self._retired_reads.get(key, 0) + v
             for key, v in self.alg.stats().items()
         }
-
-    def edge_list_text(self) -> str:
-        lines = [f"# spanner |H|={len(self.H)} beta={self.beta_certificate}"]
-        lines += [f"{u} {v}" for u, v in sorted(self.H)]
-        return "\n".join(lines) + "\n"
 
     def brute_force_active(self) -> list[bool]:
         """The activeness predicate evaluated directly (test oracle)."""

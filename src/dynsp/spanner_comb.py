@@ -74,6 +74,19 @@ def sample_levels(n: int, k: int, seed: int) -> list[int]:
     return level
 
 
+def default_k(n: int) -> int:
+    """The top level when none is given: ceil(sqrt(log2 n)), at least 1."""
+    return max(1, math.ceil(math.sqrt(max(1.0, math.log2(n)))))
+
+
+def beta_certificate(n: int, eps, k: int | None = None) -> int:
+    """The spanner's additive beta on n vertices, 2 ceil(eps'^-(k+1)) for eps' = eps/8."""
+    if not 0 < float(eps) <= 1:
+        raise ValueError("need 0 < eps <= 1")
+    k = default_k(n) if k is None else k
+    return 2 * math.ceil((Fraction(eps) / 8) ** -(k + 1))
+
+
 class SpannerState:
     def __init__(
         self,
@@ -83,8 +96,7 @@ class SpannerState:
         mode: str = REBUILD,
         k: int | None = None,
     ) -> None:
-        if not 0 < float(eps) <= 1:
-            raise ValueError("need 0 < eps <= 1")
+        self.beta_certificate = beta_certificate(g.n, eps, k)  # checks eps first
         if mode not in (DECREMENTAL, INCREMENTAL, REBUILD):
             raise ValueError(f"unknown mode {mode!r}")
         if g.directed:
@@ -94,8 +106,7 @@ class SpannerState:
         self.eps = Fraction(eps)
         self.eps_prime = self.eps / 8
         n = g.n
-        log2n = max(1.0, math.log2(n))
-        self.k = k if k is not None else max(1, math.ceil(math.sqrt(log2n)))
+        self.k = k if k is not None else default_k(n)
         self.seed = seed
         # eps'^-(i+1) per level, and threshold(j, i) and its floor read
         # from tables
@@ -104,7 +115,6 @@ class SpannerState:
         self._thresholds = [[x - y for y in inv_pow] for x in inv_pow]
         self._floors = [[math.floor(t) for t in row] for row in self._thresholds]
         self.level = sample_levels(n, self.k, derive_seed(self.seed, 0x5E))
-        self.beta_certificate = 2 * math.ceil(self.eps_prime ** -(self.k + 1))
         self.active: dict[int, bool] = {}
         self.balls: dict[int, EsTree] = {}
         self.tree_edges: dict[int, set] = {}
@@ -265,13 +275,6 @@ class SpannerState:
             self.balls.pop(v)
             self._release_tree(v)
 
-    # ---- snapshots ---------------------------------------------------------
-
-    def edge_list_text(self) -> str:
-        lines = [f"# spanner |H|={len(self.H)} beta={self.beta_certificate}"]
-        lines += [f"{u} {v}" for u, v in sorted(self.H)]
-        return "\n".join(lines) + "\n"
-
 
 def sp_rebuild_update(g, eps, seed, k=None) -> SpannerState:
     """Fully dynamic variant: one static construction on the current graph."""
@@ -297,7 +300,8 @@ class RebuildSpanner:
 
     @property
     def beta_certificate(self) -> int:
-        return self._ensure().beta_certificate
+        """Fixed by (n, eps, k), so reading it runs no construction."""
+        return beta_certificate(self.g.n, self.eps, self.k)
 
     def apply(self, ev) -> None:
         apply_update(self.g, ev)

@@ -50,11 +50,6 @@ class SteinerTree:
         self.edges = edges
         self.weight = len(edges)
 
-    def edge_list_text(self) -> str:
-        lines = [f"# steiner weight={self.weight}"]
-        lines += [f"{u} {v}" for u, v in sorted(self.edges)]
-        return "\n".join(lines) + "\n"
-
 
 class SteinerState:
     def __init__(

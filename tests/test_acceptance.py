@@ -185,7 +185,7 @@ def inverse_runs():
             else:
                 present.add((u, v))
                 adj[u, v] = True
-            st.update_edge(u, v, (u, v) in present)
+            st.dinv_update(u, v, st.A.entry_delta(u, v, (u, v) in present))
             full = st.query_full()
             a = adjacency(A, present)
             prod = poly_mat_mul(sub_mod(ident, a, P61), full, P61)

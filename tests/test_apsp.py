@@ -147,6 +147,8 @@ def test_default_degree_bound_absorbs_beta():
     g = path_graph(12)
     aa = ApproxApsp(g, eps=1, seed=9, spanner_k=0)
     assert aa.D == min(12, math.ceil(2 * aa.spanner.beta_certificate / 1))
+    # beta is fixed by (n, eps, k): the set-up ran no spanner construction
+    assert aa.stats()["spanner_rebuilds"] == 0
 
 
 def test_protocol_reads_agree_with_the_named_queries():

@@ -118,7 +118,7 @@ def run_updates(n, D, seed, steps, p=SMALL_P):
     for _ in range(steps):
         u, v = rng.sample(range(n), 2)
         present ^= {(u, v)}
-        st.update_edge(u, v, (u, v) in present)
+        st.dinv_update(u, v, st.A.entry_delta(u, v, (u, v) in present))
         yield st, adjacency(st.A, present)
 
 
@@ -239,8 +239,8 @@ def test_pair_update_equals_two_rank_one_updates(n, D, p, period, data):
         on = edge in present
         delta = pair.A.entry_delta
         pair.dinv_update(u, v, delta(u, v, on), delta(v, u, on))
-        single.update_edge(u, v, on)
-        single.update_edge(v, u, on)
+        single.dinv_update(u, v, delta(u, v, on))
+        single.dinv_update(v, u, delta(v, u, on))
         full = pair.query_full()
         assert np.array_equal(full, single.query_full())
         both = [(a, b) for e in present for a, b in (e, e[::-1])]
@@ -270,7 +270,7 @@ def test_bootstrap_equals_edgeless_start_plus_inserts(directed):
     grown = InverseState(encode(DynamicGraph(10, directed=directed), params, 5))
     for u in range(10):
         for v in sorted(g.adj[u]):
-            grown.update_edge(u, v, True)
+            grown.dinv_update(u, v, grown.A.entry_delta(u, v, True))
     assert np.array_equal(boot.query_full(), grown.query_full())
     assert boot.det_poly() == grown.det_poly()
     a = adjacency(boot.A, arcs(g))

@@ -95,7 +95,7 @@ def test_successor_decreases_distance():
             d = truth[i][j]
             if not 1 <= d <= 5:
                 continue
-            s = pr.pr_successor(i, j)
+            s = pr.path(i, j)[1]
             assert pr.g.has_edge(i, s)
             assert truth[s][j] == d - 1
 
@@ -111,7 +111,7 @@ def test_successor_is_the_smallest_index_closer_neighbour():
                     continue
                 closer = [s for s in pr.g.adj[i] if truth[s][j] == d - 1]
                 ties += len(closer) > 1
-                assert pr.pr_successor(i, j) == min(closer), (i, j)
+                assert pr.path(i, j)[1] == min(closer), (i, j)
     assert ties > 0
 
 
@@ -121,28 +121,49 @@ def test_overstated_neighbour_raises_no_witness(monkeypatch):
         g.insert_edge(u, v)
     pr = PathReporter(g, 4, seed=8)
     assert pr.pr_path(0, 3) == [0, 1, 2, 3]
-    real_col = pr.host.query_col
+    before = pr.stats()
+    real_read = PathReporter._read
 
-    def overstated(j, rows=None):
-        col = real_col(j, rows)
-        col[1] = np.concatenate([[0], col[1][:-1]])  # times u: min-degree + 1
-        return col
+    def overstated(self, rows, cols):
+        md = real_read(self, rows, cols)
+        md[1] += 1  # vertex 1 one min-degree further from everything
+        return md
 
-    monkeypatch.setattr(pr.host, "query_col", overstated)
+    monkeypatch.setattr(PathReporter, "_read", overstated)
     with pytest.raises(NoWitnessFound) as err:
         pr.pr_path(0, 3)
+    # the walk stops at 0, whose only closer neighbour 1 now looks level
     assert err.value.pair == (0, 3)
-    assert pr.stats()["no_witness"] == 1
+    after = pr.stats()
+    assert after["no_witness"] == 1
+    assert after["successor_steps"] == before["successor_steps"]
+    assert after["column_reads"] == before["column_reads"] + 1
+
+
+def test_a_walk_stuck_midway_names_the_stuck_vertex(monkeypatch):
+    pr = PathReporter(graph_of(5, [(0, 1), (1, 2), (2, 3), (0, 4)]), 4, seed=8)
+    real_read = PathReporter._read
+
+    def overstated(self, rows, cols):
+        md = real_read(self, rows, cols)
+        md[2] += 1  # 1's only closer neighbour now looks level with it
+        return md
+
+    monkeypatch.setattr(PathReporter, "_read", overstated)
+    with pytest.raises(NoWitnessFound) as err:
+        pr.path(0, 3)
+    assert err.value.pair == (1, 3)
+    assert pr.stats()["successor_steps"] == 1 and pr.stats()["no_witness"] == 1
 
 
 def test_successor_rejects_out_of_range_queries():
     g = DynamicGraph(4)
     g.insert_edge(0, 1)
     pr = PathReporter(g, 2, seed=0)
+    assert pr.path(0, 0) == [0]  # no successor at the target
+    assert pr.path(0, 3) is None
     with pytest.raises(ValueError):
-        pr.pr_successor(0, 0)
-    with pytest.raises(ValueError):
-        pr.pr_successor(0, 3)  # unreachable: beyond D
+        pr.pr_path(0, 3)  # unreachable: beyond D
 
 
 def test_implicit_copies_match_explicit_products():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from dynsp.graph import (
     all_pairs_dist,
     bfs_dist,
     bfs_dist_bounded,
+    descend,
     graph_of,
 )
 from dynsp.reporter import BEYOND, NoWitnessFound, PathReporter
@@ -155,6 +157,111 @@ def test_single_edge_is_kept():
     assert (1, 3) in st.H
 
 
+def _bfs_parents(g, s, depth):
+    """{v: (dist, parent)} within depth from s, scanning sorted adjacency,
+    so each parent is the smallest choice (the path rule the spanner
+    used before the shared descent, kept as its oracle)."""
+    out = {s: (0, -1)}
+    q = deque([s])
+    while q:
+        u = q.popleft()
+        du = out[u][0]
+        if du == depth:
+            continue
+        for v in sorted(g.adj[u]):
+            if v not in out:
+                out[v] = (du + 1, u)
+                q.append(v)
+    return out
+
+
+def _walk_parents(reach, t):
+    path = [t]
+    while reach[path[-1]][1] != -1:
+        path.append(reach[path[-1]][1])
+    path.reverse()
+    return path
+
+
+@given(
+    n=hst.integers(2, 30),
+    density=hst.floats(0.0, 0.5),
+    depth=hst.integers(0, 8),
+    seed=hst.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_descent_over_a_bounded_bfs_is_the_bfs_parent_path(n, density, depth, seed):
+    g, _ = random_graph(n, int(density * n * (n - 1) / 2), seed)
+    towards = [bfs_dist_bounded(g, a2, depth) for a2 in range(n)]
+    for a in range(n):
+        reach = _bfs_parents(g, a, depth)
+        for a2, dist in enumerate(towards):
+            assert (a in dist) == (a2 in reach)
+            if a in dist:
+                assert descend(g, a, a2, dist.get) == _walk_parents(reach, a2), (a, a2)
+
+
+def _grid_edges(cells, width):
+    """Edges of the grid whose row-major cells are the given vertices."""
+    edges = []
+    for x, v in enumerate(cells):
+        if x % width < width - 1:
+            edges.append((v, cells[x + 1]))
+        if x + width < len(cells):
+            edges.append((v, cells[x + width]))
+    return [(min(e), max(e)) for e in edges]
+
+
+def test_h_is_the_same_whichever_levels_use_bfs(monkeypatch):
+    # gamma = floor(kappa k) is 0 at kappa = 0.3 and 1 at 0.5, so level 0
+    # is walked down the path core in one state and by BFS in the other.
+    # Level-0 vertices stay active only out of reach of higher levels, so
+    # they get a 3 x 3 grid of their own, in shuffled vertex order, with
+    # tied shortest paths of up to 3 hops, which b = 128 lets level 0 pair.
+    # Each pair's path must match too, not only their union H.
+    n, params = 32, dict(eps=1, seed=3, k=2, b=128)
+    level = AlgSpannerState(DynamicGraph(n), kappa=0.5, **params).level
+    low = [v for v in range(n) if level[v] == 0][:9]
+    high = [v for v in range(n) if level[v] > 0]
+    rng = random.Random(2)  # an order where some tied paths depend on the end walked from
+    rng.shuffle(low)
+    edges = set(_grid_edges(low, 3))
+    while len(edges) < 12 + 20:
+        u, v = sorted(rng.sample(high, 2))
+        edges.add((u, v))
+    g = graph_of(n, edges)
+    paths = {}
+    real_add_path = AlgSpannerState._add_path
+
+    def add_path(self, path):
+        paths.setdefault(self, set()).add(tuple(path))
+        real_add_path(self, path)
+
+    monkeypatch.setattr(AlgSpannerState, "_add_path", add_path)
+    sts = [AlgSpannerState(g.copy(), kappa=kappa, **params) for kappa in (0.3, 0.5)]
+    assert [st.gamma for st in sts] == [0, 1] and sts[0]._pair_floors[0] == 3
+    events = [
+        DeleteEdge(*_grid_edges(low, 3)[0]),
+        InsertEdge(min(low[0], low[4]), max(low[0], low[4])),
+        InsertEdge(min(low[2], low[6]), max(low[2], low[6])),
+        *mixed_events(graph_of(n, (e for e in edges if e[0] in high)), rng, 6),
+        DeleteEdge(min(low[0], low[4]), max(low[0], low[4])),
+    ]
+    multi_hop = 0
+    for ev in [None, *events]:
+        if ev is not None:
+            paths.clear()
+            for st in sts:
+                st.alg_update(ev)
+        assert sts[0].H == sts[1].H
+        assert paths[sts[0]] == paths[sts[1]]
+        members = [v for v in low if sts[0].active[v]]
+        for a in members:
+            dist = bfs_dist_bounded(sts[0].g, a, 3)
+            multi_hop += sum(2 <= dist.get(a2, 0) for a2 in members if a2 > a)
+    assert multi_hop > 0
+
+
 def _rebuild_on_every_level(self) -> None:
     """AlgSpannerState._rebuild without skipping levels whose pair
     threshold is below one hop (the reference for the skip)."""
@@ -190,9 +297,9 @@ def _rebuild_on_every_level(self) -> None:
                     except NoWitnessFound:
                         self.fallback_pairs.append((a, a2))
                 if reach is None:
-                    reach = self._bfs_parents(a, depth)
+                    reach = _bfs_parents(g, a, depth)
                 if a2 in reach and Fraction(reach[a2][0]) <= thr:
-                    self._add_path(self._walk_parents(reach, a2))
+                    self._add_path(_walk_parents(reach, a2))
     if len(self.H) > self.reinit_threshold:
         self.reinit_events.append(self.update_count)
         self._init_everything()
@@ -314,9 +421,9 @@ def _full_build_spanner(self) -> None:
                     except NoWitnessFound:
                         self.fallback_pairs.append((a, a2))
                 if reach is None:
-                    reach = self._bfs_parents(a, depth)
+                    reach = _bfs_parents(g, a, depth)
                 if a2 in reach and Fraction(reach[a2][0]) <= thr:
-                    self._add_path(self._walk_parents(reach, a2))
+                    self._add_path(_walk_parents(reach, a2))
 
 
 class _FullRebuild(AlgSpannerState):
@@ -534,8 +641,8 @@ def test_an_update_makes_at_most_two_path_core_reads_per_algebraic_level():
 def _overstate_rows(monkeypatch, overstated):
     """Every path-core read sees the rows of `overstated` one min-degree
     too far from every other vertex (capped at D+1), as a randomness
-    failure would; single-pair and block reads alike."""
-    real_read, real_column = PathReporter._read, PathReporter._column
+    failure would; every read goes through _read."""
+    real_read = PathReporter._read
 
     def read(self, rows, cols):
         md = real_read(self, rows, cols)
@@ -547,12 +654,7 @@ def _overstate_rows(monkeypatch, overstated):
                     md[x, y] = min(md[x, y] + 1, self.D + 1)
         return md
 
-    def column(self, j):
-        col = real_column(self, j)
-        return [min(d + 1, self.D + 1) if i in overstated and i != j else d for i, d in enumerate(col)]
-
     monkeypatch.setattr(PathReporter, "_read", read)
-    monkeypatch.setattr(PathReporter, "_column", column)
 
 
 def test_fallback_pairs_keep_their_order_when_walks_find_no_witness(monkeypatch):

@@ -122,6 +122,9 @@ def test_parameter_domains():
         SpannerState(g, eps=2, seed=0, mode=DECREMENTAL)
     with pytest.raises(ValueError):
         SpannerState(DynamicGraph(4, directed=True), eps=1, seed=0, mode=DECREMENTAL)
+    for eps in (0, -1, 2):  # beta is read without a construction, and still checks eps
+        with pytest.raises(ValueError):
+            RebuildSpanner(g, eps, seed=0).beta_certificate
 
 
 def test_thresholds_are_exact_rationals():
@@ -159,6 +162,19 @@ def test_rebuild_provider_is_lazy_but_faithful():
         assert lazy.edges() == set(eager.H)
 
 
+@pytest.mark.parametrize("n", [1, 24, 300])
+@pytest.mark.parametrize("eps", [1, 0.3])
+@pytest.mark.parametrize("k", [None, 2])
+def test_reading_beta_runs_no_construction(n, eps, k):
+    sp = RebuildSpanner(DynamicGraph(n), eps, seed=3, k=k)
+    beta = sp.beta_certificate
+    assert sp.stats()["rebuilds"] == 0
+    # the value a construction on the same (n, eps, k) certifies
+    assert beta == SpannerState(DynamicGraph(n), eps, seed=3, k=k).beta_certificate
+    sp.edges()
+    assert sp.stats()["rebuilds"] == 1 and sp.beta_certificate == beta
+
+
 def _same_seed(lazy: RebuildSpanner, counter: int) -> int:
     from dynsp._kernels import derive_seed
 
@@ -178,17 +194,6 @@ def test_tree_input_never_underestimates():
     for i in range(15):
         for j in range(15):
             assert dh[i][j] >= dg[i][j]
-
-
-def test_snapshot_serialization():
-    g, _ = random_graph(12, 20, seed=9)
-    st = SpannerState(g, eps=1, seed=1, mode=DECREMENTAL, k=1)
-    text = st.edge_list_text()
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("#")
-    assert len(lines) - 1 == len(st.H)
-    assert lines[0] == f"# spanner |H|={len(st.H)} beta={st.beta_certificate}"
-    assert {tuple(map(int, line.split())) for line in lines[1:]} == set(st.H)
 
 
 def _nested_levels(n, k, seed):

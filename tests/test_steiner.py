@@ -171,15 +171,6 @@ def test_disconnected_reports_the_partition():
     assert sorted(map(sorted, groups)) == [[0, 1], [2]]
 
 
-def test_snapshot_serialization():
-    g = DynamicGraph(4)
-    g.insert_edge(0, 1)
-    g.insert_edge(1, 2)
-    st = SteinerState(g, [0, 2], eps=1, seed=0)
-    text = st.tree.edge_list_text()
-    assert text.splitlines()[0] == "# steiner weight=2"
-
-
 def test_apply_dispatches_script_events():
     g = DynamicGraph(8)
     for v in range(7):
