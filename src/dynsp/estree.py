@@ -42,7 +42,7 @@ class EsTree:
         self._rebuild()
 
     def _rebuild(self) -> None:
-        self.level = bfs_dist_bounded(self.g, self.root, self.radius)
+        self.level = bfs_dist_bounded(self.g, [self.root], self.radius)
         self.parent = {self.root: None}
         self.children = {v: set() for v in self.level}
         for v, lv in self.level.items():

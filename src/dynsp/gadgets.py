@@ -132,14 +132,12 @@ def gen_oumv_fully(inst: OuMvInstance, alpha, beta: int) -> GadgetScript:
     return GadgetScript(script, thresholds, bits, (w[0], w[c]), marks, "oumv-fully")
 
 
-def _path_layout(n: int, copies: int):
-    """Vertex ids for the incremental/decremental thread-path construction.
+def _path_layout(n: int, copies: int, pbase: int):
+    """Vertex ids of the thread paths P_0 .. P_copies, from pbase on.
 
-    Gadget j (1-based) sits at offset 2*(j-1)*n; path P_j follows all
-    gadgets, holds 2n-1 vertices, and exposes z_i / y_i handles.
+    Each path holds 2n-1 vertices and exposes z_i / y_i handles; the
+    returned total is the vertex count up to and including the paths.
     """
-    gbase = lambda j: 2 * (j - 1) * n
-    pbase = 2 * copies * n
 
     def z(j: int, i: int) -> int:  # z_i in P_j, i in 1..n
         return pbase + j * (2 * n - 1) + (i - 1)
@@ -147,8 +145,13 @@ def _path_layout(n: int, copies: int):
     def y(j: int, i: int) -> int:  # y_i in P_j; y_n == z_n
         return pbase + j * (2 * n - 1) + (2 * n - 1 - i)
 
-    total = pbase + (copies + 1) * (2 * n - 1)
-    return gbase, z, y, total
+    return z, y, pbase + (copies + 1) * (2 * n - 1)
+
+
+def _oumv_layout(n: int, copies: int):
+    """Gadget j (1-based) sits at offset 2*(j-1)*n; the paths follow all gadgets."""
+    z, y, total = _path_layout(n, copies, 2 * copies * n)
+    return (lambda j: 2 * (j - 1) * n), z, y, total
 
 
 def _inc_threshold(n: int, beta: int, i: int, cross: int = 4) -> int:
@@ -165,7 +168,7 @@ def gen_oumv_incremental(inst: OuMvInstance, beta: int) -> GadgetScript:
         raise ParamDomain("need integer beta >= 0")
     n = inst.n
     copies = beta + 1
-    gbase, z, y, N = _path_layout(n, copies)
+    gbase, z, y, N = _oumv_layout(n, copies)
     events: list = []
     for j in range(1, copies + 1):
         events += [InsertEdge(a, b) for a, b in _gadget_edges(inst.M, gbase(j), n)]
@@ -196,7 +199,7 @@ def gen_oumv_decremental(inst: OuMvInstance, beta: int) -> GadgetScript:
     if len(inst.vector_pairs) != n:
         raise ParamDomain("decremental scripts need exactly n vector pairs")
     copies = beta + 1
-    gbase, z, y, N = _path_layout(n, copies)
+    gbase, z, y, N = _oumv_layout(n, copies)
     initial: list[tuple[int, int]] = []
     for j in range(1, copies + 1):
         initial += _gadget_edges(inst.M, gbase(j), n)
@@ -372,15 +375,7 @@ def _kcycle_partial(g, colors, k, beta: int, rep: int, decremental: bool) -> Gad
     if np_ == 0:
         script = UpdateScript(n=max(idx.total, 1), directed=False, initial_edges=[], events=[])
         return GadgetScript(script, [], [], (0, 0), [], f"kcycle-partial-rep{rep}")
-    pbase = idx.total
-
-    def z(j: int, i: int) -> int:
-        return pbase + j * (2 * np_ - 1) + (i - 1)
-
-    def y(j: int, i: int) -> int:
-        return pbase + j * (2 * np_ - 1) + (2 * np_ - 1 - i)
-
-    N = pbase + (copies + 1) * (2 * np_ - 1)
+    z, y, N = _path_layout(np_, copies, idx.total)
     build: list[tuple[int, int]] = []
     for j in range(1, copies + 1):
         build += idx.gadget_edges(g, j)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 INF = math.inf
 
@@ -177,13 +177,21 @@ def bfs_dist(g: DynamicGraph, s: int) -> list[float]:
     return dist
 
 
+class _Reversed(NamedTuple):
+    """A graph's reverse adjacency, as the n and adj that bfs_dist reads."""
+
+    n: int
+    adj: list[set[int]]
+
+
 def bfs_path(g: DynamicGraph, u: int, v: int) -> Optional[list[int]]:
     """A shortest u-v path, or None when v is unreachable from u.
 
+    Distances towards v come from one BFS from v over the reverse
+    adjacency, which is the adjacency itself on undirected graphs.
     Every step goes to the smallest-index neighbour one hop closer to v.
     """
-    to_v = g if not g.directed else graph_of(g.n, ((b, a) for a, b in g.edges()), True)
-    dist = bfs_dist(to_v, v)
+    dist = bfs_dist(_Reversed(g.n, g.radj), v)
     if dist[u] == INF:
         return None
     return descend(g, u, v, dist.__getitem__)
@@ -206,10 +214,11 @@ def descend(g: DynamicGraph, i: int, j: int, dist_to) -> list[int]:
     return path
 
 
-def bfs_dist_bounded(g: DynamicGraph, s: int, radius: int) -> dict[int, int]:
-    """Distances from s up to the given hop radius (inclusive)."""
-    dist = {s: 0}
-    q = deque([s])
+def bfs_dist_bounded(g: DynamicGraph, sources, radius: int) -> dict[int, int]:
+    """Distances from the nearest of the sources, up to the given hop
+    radius (inclusive), in the order BFS reaches them."""
+    dist = dict.fromkeys(sources, 0)
+    q = deque(dist)
     while q:
         u = q.popleft()
         du = dist[u]

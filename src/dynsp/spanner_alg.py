@@ -17,7 +17,10 @@ What an update maintains and what it recomputes:
   it spans changes nothing, and any other update reruns the greedy
   from that edge's position onwards.
 - Activeness depends only on G~ and the levels, so the deactivation
-  pass reruns only when G~ changed or the levels were resampled.
+  pass reruns only when G~ changed or the levels were resampled.  It is
+  the combinatorial spanner's pass (spanner_comb.blocked_vertices) on
+  G~ with the floors of c_{l,j}/4: one bounded BFS from all the
+  vertices of each level j >= 1 at once, not one per vertex.
 - H is recomputed from G~ and the per-level pairs on every update,
   because pair distances in G can change with any edge.
 
@@ -33,11 +36,11 @@ all its active vertices, then one block of the columns towards every
 pair's far end that qualifies, which every path walk into that end
 follows.
 
-All thresholds are exact rationals.  Distances are integers, and
-d <= thr exactly when d <= floor(thr), so the comparisons run against
-tables of floors built once.  Randomness failures in the algebraic
-path walks fall back to BFS for that pair, which yields the path the
-walk would have, and are logged.
+Distances are integers, and d <= thr exactly when d <= floor(thr), so
+the comparisons run against tables of floors built once: c_{l,j} // 4
+for blocks, and the floors of the exact rational pair thresholds.
+Randomness failures in the algebraic path walks fall back to BFS for
+that pair, which yields the path the walk would have, and are logged.
 """
 from __future__ import annotations
 
@@ -58,7 +61,7 @@ from .graph import (
     graph_of,
 )
 from .reporter import NoWitnessFound, PathReporter
-from .spanner_comb import default_k, sample_levels
+from .spanner_comb import blocked_vertices, default_k, sample_levels
 
 
 def greedy_spanner(g: DynamicGraph, stretch: int) -> set[tuple[int, int]]:
@@ -138,13 +141,12 @@ class AlgSpannerState:
         # degree bound of the path core: covers every level's length cap
         self.depth = min(n, math.ceil(Fraction(self.b ** (self.k + 1), 1) / (8 * Fraction(self.log2n))))
         self.reinit_threshold = math.ceil(8 * n ** (1 + 1 / self.k) * self.log2n ** 3)
-        # block_threshold(l, j) = c_{l,j}/4, read from a table, and the
-        # floors of both thresholds, which integer distances compare against
-        self._block_thresholds = [
-            [Fraction(self.c_sum(l, j), 4) for j in range(self.k + 1)]
-            for l in range(self.k + 1)
+        # the floors that integer distances compare against: of c_{l,j}/4
+        # for a level-j blocker and a level-l blockee, and of the pair
+        # thresholds
+        self._block_floors = [
+            [self.c_sum(l, j) // 4 for l in range(self.k + 1)] for j in range(self.k + 1)
         ]
-        self._block_floors = [[math.floor(t) for t in row] for row in self._block_thresholds]
         self._pair_floors = [math.floor(self.pair_threshold(i)) for i in range(self.k + 1)]
         self.reinit_events: list[int] = []
         self.fallback_pairs: list[tuple[int, int]] = []
@@ -194,9 +196,6 @@ class AlgSpannerState:
     def c_sum(self, l: int, j: int) -> int:
         return sum(self.b**y for y in range(l + 1, j + 1))
 
-    def block_threshold(self, l: int, j: int) -> Fraction:
-        return self._block_thresholds[l][j]
-
     def pair_threshold(self, i: int) -> Fraction:
         return Fraction(self.b ** (i + 1), 1) / (8 * Fraction(self.log2n))
 
@@ -243,7 +242,9 @@ class AlgSpannerState:
     def _build_spanner(self) -> None:
         n = self.g.n
         if self._active_stale:
-            self.active = self._deactivation_pass(self._helper_g)
+            self._counts["deactivation_passes"] += 1
+            blocked = blocked_vertices(self._helper_g, self.level, self._block_floors)
+            self.active = [v not in blocked for v in range(n)]
             self._active_stale = False
         self.H = set(self.helper)
         for i in range(self.k + 1):
@@ -288,28 +289,10 @@ class AlgSpannerState:
         for a, a2 in pairs:
             starts.setdefault(a2, []).append(a)
         for a2, group in starts.items():
-            dist = bfs_dist_bounded(self.g, a2, thr)
+            dist = bfs_dist_bounded(self.g, [a2], thr)
             for a in group:
                 if a in dist:
                     self._add_path(descend(self.g, a, a2, dist.get))
-
-    def _deactivation_pass(self, helper_g: DynamicGraph) -> list[bool]:
-        """Descending-level BFS on the helper; exact per-level thresholds."""
-        self._counts["deactivation_passes"] += 1
-        n = self.g.n
-        floors = self._block_floors
-        active = [True] * n
-        for j in range(self.k, 0, -1):
-            # c_{l,j} falls with l, so level 0's threshold bounds them all
-            depth = floors[0][j]
-            for a2 in range(n):
-                if self.level[a2] != j:
-                    continue
-                for x, dx in bfs_dist_bounded(helper_g, a2, depth).items():
-                    p = self.level[x]
-                    if p < j and dx <= floors[p][j]:
-                        active[x] = False
-        return active
 
     def _add_path(self, path: list[int]) -> None:
         for a, b2 in zip(path, path[1:]):
@@ -336,13 +319,6 @@ class AlgSpannerState:
         """The distance from u to v in the current spanner H."""
         return bfs_dist(graph_of(self.g.n, self.H), u)[v]
 
-    def alg_active(self, level: int) -> set[int]:
-        return {
-            v
-            for v in range(self.g.n)
-            if self.level[v] == level and self.active[v]
-        }
-
     def stats(self) -> dict[str, int]:
         """Deterministic counters of the work done since construction.
 
@@ -367,19 +343,3 @@ class AlgSpannerState:
             key: self._retired_reads.get(key, 0) + v
             for key, v in self.alg.stats().items()
         }
-
-    def brute_force_active(self) -> list[bool]:
-        """The activeness predicate evaluated directly (test oracle)."""
-        helper_g = graph_of(self.g.n, self.helper)
-        dist_from = [bfs_dist(helper_g, a2) for a2 in range(self.g.n)]
-        active = [True] * self.g.n
-        for x in range(self.g.n):
-            l = self.level[x]
-            for a2 in range(self.g.n):
-                j = self.level[a2]
-                if j <= l:
-                    continue
-                d = dist_from[a2][x]
-                if d != math.inf and Fraction(int(d)) <= Fraction(self.c_sum(l, j), 4):
-                    active[x] = False
-        return active

@@ -16,12 +16,13 @@ iff it holds no blocks.  Activeness is monotone per mode: deletions
 only activate, insertions only deactivate.
 
 The static construction evaluates the predicate without a BFS per
-vertex.  x at level i is blocked iff max over a at a higher level j of
-floor(threshold(j, i)) - dist(a, x) is >= 0, and that maximum is what a
-multi-source BFS computes when every higher-level vertex starts with
-its floor as a budget and budgets drop by one per hop, expanded in
-descending order (Dial's buckets).  So one such pass per blockee level
-i < k decides every level-i vertex, in O(n + m) each.
+vertex.  x at level i is blocked iff for some j > i the nearest level-j
+vertex is within floor(threshold(j, i)) of x.  So one bounded BFS from
+all the level-j vertices at once, as deep as the largest such floor,
+decides every vertex that level j blocks: one BFS per level j >= 1, in
+O(n + m) each.  That pass, blocked_vertices, takes the graph, the levels
+and the floors, and the algebraic spanner (spanner_alg) decides its own
+activeness with it too.
 
 The fully dynamic variant simply reruns the static construction after
 every update (sp_rebuild_update); RebuildSpanner wraps that with lazy
@@ -47,6 +48,7 @@ from .graph import (
     InsertEdge,
     apply_update,
     bfs_dist,
+    bfs_dist_bounded,
     graph_of,
 )
 
@@ -85,6 +87,23 @@ def beta_certificate(n: int, eps, k: int | None = None) -> int:
         raise ValueError("need 0 < eps <= 1")
     k = default_k(n) if k is None else k
     return 2 * math.ceil((Fraction(eps) / 8) ** -(k + 1))
+
+
+def blocked_vertices(g: DynamicGraph, level: list[int], floors) -> set[int]:
+    """The vertices that some higher-level vertex lies within threshold of.
+
+    floors[j][i] is the integer floor of the threshold between a level-j
+    blocker and a level-i blockee.  x at level i is blocked iff for some
+    j > i the nearest level-j vertex is within floors[j][i] of x, so one
+    BFS from all the level-j vertices at once, as deep as the largest
+    floor below j, decides every vertex that level j blocks.
+    """
+    blocked: set[int] = set()
+    for j in range(1, max(level, default=0) + 1):
+        sources = [a for a in range(g.n) if level[a] == j]
+        reach = bfs_dist_bounded(g, sources, max(floors[j][:j]))
+        blocked.update(x for x, d in reach.items() if level[x] < j and d <= floors[j][level[x]])
+    return blocked
 
 
 class SpannerState:
@@ -132,40 +151,9 @@ class SpannerState:
         return self._thresholds[j][i]
 
     def recompute_active_from_scratch(self) -> dict[int, bool]:
-        """The activeness predicate, from one budgeted BFS per blockee level.
-
-        x at level i is blocked iff some a at level j > i has
-        dist(a, x) <= floors[j][i], that is iff the largest
-        floors[j][i] - dist(a, x) over those a is >= 0.  For each i < k
-        every vertex above level i starts with budget
-        min(floors[level][i], n), since no distance reaches n; budgets
-        spread outward one less per hop in descending buckets (Dial's
-        order), so each vertex settles at that maximum, and the level-i
-        vertices that settle at a budget >= 0 are the blocked ones.
-        """
-        g, n, level, k = self.g, self.g.n, self.level, self.k
-        blocked: set[int] = set()
-        for i in range(k):
-            blockees = [v for v in range(n) if level[v] == i]
-            seeds = [a for a in range(n) if level[a] > i]
-            if not blockees or not seeds:
-                continue
-            best = [-1] * n
-            for a in seeds:
-                best[a] = min(self._floors[level[a]][i], n)
-            buckets: list[list[int]] = [[] for _ in range(max(best) + 1)]
-            for a in seeds:
-                buckets[best[a]].append(a)
-            for b in range(len(buckets) - 1, 0, -1):
-                for u in buckets[b]:
-                    if best[u] != b:
-                        continue  # settled earlier at a larger budget
-                    for v in g.adj[u]:
-                        if best[v] < b - 1:
-                            best[v] = b - 1
-                            buckets[b - 1].append(v)
-            blocked.update(x for x in blockees if best[x] >= 0)
-        return {v: v not in blocked for v in range(n)}
+        """The activeness predicate, from one bounded BFS per blocker level."""
+        blocked = blocked_vertices(self.g, self.level, self._floors)
+        return {v: v not in blocked for v in range(self.g.n)}
 
     def _init_active(self) -> None:
         self.active = self.recompute_active_from_scratch()
@@ -253,11 +241,17 @@ class SpannerState:
 
     def _cascade_activations(self) -> None:
         # deletions only revoke blocks; vertices whose last block went away
-        # turn active, build a ball, and record their own (pre-existing) blocks
+        # turn active, build a ball, and record their own (pre-existing)
+        # blocks.  Those may fall on another such vertex of a lower level,
+        # so they turn active from the top level down, and a vertex that a
+        # higher one blocked meanwhile stays inactive.
         newly = sorted(
-            v for v in range(self.g.n) if not self.active[v] and not self.blocks_of[v]
+            (v for v in range(self.g.n) if not self.active[v] and not self.blocks_of[v]),
+            key=lambda v: (-self.level[v], v),
         )
         for v in newly:
+            if self.blocks_of[v]:
+                continue
             self.active[v] = True
             tree = EsTree(self.g, v, self.radius_for_level(self.level[v]), self.mode)
             self.balls[v] = tree

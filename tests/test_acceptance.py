@@ -17,7 +17,7 @@ import pytest
 
 from inverse_oracles import adjacency, identity, series_inverse
 from test_inverse import oracle_det
-from test_spanner_comb import bfs_active
+from test_spanner_comb import brute_force_active, spanner_bfs_active
 from test_steiner import opt_steiner
 
 from dynsp._kernels import min_degree_arr, poly_mat_mul, sub_mod
@@ -38,6 +38,7 @@ from dynsp.graph import (
     InsertEdge,
     apply_update,
     bfs_dist,
+    graph_of,
     validate_path,
 )
 from dynsp.inverse import InverseState
@@ -332,7 +333,7 @@ def _check_comb_state(st, g):
     mask = np.isfinite(dg)
     assert (dh[mask] <= 2 * dg[mask] + 2 * math.ceil(8**3)).all()
     assert len(st.H) <= 8 * g.n**1.5 * math.log2(g.n) ** 2
-    assert st.active == bfs_active(st) == st.recompute_active_from_scratch()
+    assert st.active == spanner_bfs_active(st) == st.recompute_active_from_scratch()
 
 
 def test_05_combinatorial_spanner_decremental_and_incremental():
@@ -377,7 +378,9 @@ def test_06_algebraic_spanner_certificate_and_activeness():
         mask = np.isfinite(dg)
         assert (dh[mask] <= slack * dg[mask] + 5**3).all()
         assert st.helper == greedy_spanner(st.g, st.helper_stretch)
-        assert st.active == st.brute_force_active()
+        assert st.active == brute_force_active(
+            graph_of(st.g.n, st.helper), st.level, st._block_floors
+        )
 
     check()
     for ev in mixed_events(st.g.copy(), rng, 200):

@@ -22,7 +22,7 @@ def random_graph(n, m, seed):
 
 
 def check_tree(tree: EsTree):
-    want = bfs_dist_bounded(tree.g, tree.root, tree.radius)
+    want = bfs_dist_bounded(tree.g, [tree.root], tree.radius)
     assert tree.level == want
     for v, par in tree.parent.items():
         if par is not None:

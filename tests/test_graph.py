@@ -65,7 +65,7 @@ def test_bfs_on_known_shapes():
     for v in range(4):
         path.insert_edge(v, v + 1)
     assert bfs_dist(path, 0) == [0, 1, 2, 3, 4]
-    assert bfs_dist_bounded(path, 0, 2) == {0: 0, 1: 1, 2: 2}
+    assert bfs_dist_bounded(path, [0], 2) == {0: 0, 1: 1, 2: 2}
     lonely = DynamicGraph(3)
     assert bfs_dist(lonely, 1) == [INF, 0, INF]
 
@@ -144,3 +144,35 @@ def test_bfs_path_steps_to_the_smallest_index_closer_neighbour():
     d = graph_of(4, [(0, 1), (1, 2), (2, 0), (0, 3)], directed=True)
     assert bfs_path(d, 1, 3) == [1, 2, 0, 3]
     assert bfs_path(d, 3, 0) is None
+
+
+def _bfs_path_on_a_reversed_copy(g, u, v):
+    """bfs_path as it was written before it read the reverse adjacency:
+    distances towards v from a BFS on a reversed copy of the whole graph
+    (the reference for the directed case)."""
+    to_v = g if not g.directed else graph_of(g.n, ((b, a) for a, b in g.edges()), True)
+    dist = bfs_dist(to_v, v)
+    if dist[u] == INF:
+        return None
+    path = [u]
+    while path[-1] != v:
+        want = dist[path[-1]] - 1
+        path.append(min(w for w in g.adj[path[-1]] if dist[w] == want))
+    return path
+
+
+@given(
+    n=st.integers(1, 16),
+    directed=st.booleans(),
+    arcs=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=60),
+)
+@settings(max_examples=80, deadline=None)
+def test_bfs_path_matches_a_bfs_on_a_reversed_copy(n, directed, arcs):
+    g = DynamicGraph(n, directed)
+    for a, b in arcs:
+        a, b = a % n, b % n
+        if a != b and not g.has_edge(a, b):
+            g.insert_edge(a, b)
+    for u in range(n):
+        for v in range(n):
+            assert bfs_path(g, u, v) == _bfs_path_on_a_reversed_copy(g, u, v), (u, v)

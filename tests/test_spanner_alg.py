@@ -6,8 +6,10 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
+
+from test_spanner_comb import bfs_active, brute_force_active
 
 from dynsp.cli import main
 from dynsp.graph import (
@@ -56,6 +58,11 @@ def mixed_events(g, rng, count):
             yield InsertEdge(*e)
 
 
+def helper_active(st: AlgSpannerState, oracle=brute_force_active) -> list[bool]:
+    """st's activeness from a per-vertex oracle on its helper G~."""
+    return oracle(graph_of(st.g.n, st.helper), st.level, st._block_floors)
+
+
 def check_state(st: AlgSpannerState, eps):
     g = st.g
     for u, v in st.H:
@@ -69,7 +76,7 @@ def check_state(st: AlgSpannerState, eps):
         for j in range(g.n):
             if dg[i][j] < math.inf:
                 assert dh[i][j] <= (1 + eps) * dg[i][j] + st.beta_certificate
-    assert st.active == st.brute_force_active()
+    assert st.active == helper_active(st)
 
 
 def test_greedy_helper_spanner_properties():
@@ -113,22 +120,17 @@ def test_high_level_paths_come_from_the_algebraic_core():
 def test_level_sampling_and_active_hooks():
     g, _ = random_graph(26, 40, seed=6)
     st = AlgSpannerState(g, eps=1, kappa=0.5, seed=7, k=2, b=3)
-    seen = set()
-    for level in range(st.k + 1):
-        members = st.alg_active(level)
-        for v in members:
-            assert st.level[v] == level and st.active[v]
-        seen |= members
+    assert set(st.level) <= set(range(st.k + 1))
     # all of the top level is always active
-    top = {v for v in range(26) if st.level[v] == st.k}
-    assert top <= seen
+    assert all(st.active[v] for v in range(26) if st.level[v] == st.k)
+    assert st.active == helper_active(st) == helper_active(st, bfs_active)
 
 
 def test_threshold_arithmetic_is_exact():
     g = DynamicGraph(8)
     st = AlgSpannerState(g, eps=1, kappa=0.5, seed=0, k=2, b=3)
     assert st.c_sum(0, 2) == 3 + 9
-    assert st.block_threshold(0, 2) == Fraction(12, 4)
+    assert st._block_floors[2][0] == math.floor(Fraction(st.c_sum(0, 2), 4)) == 3
     assert st.beta_certificate == 27
 
 
@@ -192,7 +194,7 @@ def _walk_parents(reach, t):
 @settings(max_examples=60, deadline=None)
 def test_descent_over_a_bounded_bfs_is_the_bfs_parent_path(n, density, depth, seed):
     g, _ = random_graph(n, int(density * n * (n - 1) / 2), seed)
-    towards = [bfs_dist_bounded(g, a2, depth) for a2 in range(n)]
+    towards = [bfs_dist_bounded(g, [a2], depth) for a2 in range(n)]
     for a in range(n):
         reach = _bfs_parents(g, a, depth)
         for a2, dist in enumerate(towards):
@@ -257,7 +259,7 @@ def test_h_is_the_same_whichever_levels_use_bfs(monkeypatch):
         assert paths[sts[0]] == paths[sts[1]]
         members = [v for v in low if sts[0].active[v]]
         for a in members:
-            dist = bfs_dist_bounded(sts[0].g, a, 3)
+            dist = bfs_dist_bounded(sts[0].g, [a], 3)
             multi_hop += sum(2 <= dist.get(a2, 0) for a2 in members if a2 > a)
     assert multi_hop > 0
 
@@ -271,7 +273,7 @@ def _rebuild_on_every_level(self) -> None:
     helper_g = DynamicGraph(n, directed=False)
     for u, v in self.helper:
         helper_g.insert_edge(u, v)
-    self.active = self._deactivation_pass(helper_g)
+    self.active = bfs_active(helper_g, self.level, self._block_floors)
     self.H = set(self.helper)
     for i in range(self.k + 1):
         members = sorted(
@@ -317,7 +319,7 @@ def test_levels_below_one_hop_make_no_queries_and_change_nothing(monkeypatch):
     # level 1 has threshold 25/(8 log2 40) < 1 but is at or above gamma,
     # so the rule without the skip queries the path core for its pairs
     assert st.gamma == 1 and st.pair_threshold(1) < 1 <= st.pair_threshold(2)
-    assert len(st.alg_active(1)) >= 2
+    assert sum(st.active[v] for v in range(40) if st.level[v] == 1) >= 2
     # st reads each level in one block and ref one pair at a time through
     # pr_dist, which is a 1 x 1 block: the spy sees the levels of both
     queried = {st: [], ref: []}
@@ -365,7 +367,7 @@ def _greedy_by_bfs(g, stretch):
     h = DynamicGraph(g.n, directed=False)
     kept = set()
     for u, v in sorted(g.edges()):
-        if v not in bfs_dist_bounded(h, u, stretch):
+        if v not in bfs_dist_bounded(h, [u], stretch):
             h.insert_edge(u, v)
             kept.add((u, v))
     return kept
@@ -386,14 +388,15 @@ def test_greedy_spanner_matches_one_bfs_per_edge(n, density, stretch, seed):
 def _full_build_spanner(self) -> None:
     """AlgSpannerState._build_spanner recomputing the greedy helper and
     activeness from scratch on every call (the reference for the
-    maintained helper and the skipped deactivation passes)."""
+    maintained helper and the skipped deactivation passes, with activeness
+    from one BFS per vertex)."""
     g = self.g
     n = g.n
     self.helper = _greedy_by_bfs(g, self.helper_stretch)
     helper_g = DynamicGraph(n, directed=False)
     for u, v in self.helper:
         helper_g.insert_edge(u, v)
-    self.active = self._deactivation_pass(helper_g)
+    self.active = bfs_active(helper_g, self.level, self._block_floors)
     self.H = set(self.helper)
     for i in range(self.k + 1):
         thr = self.pair_threshold(i)
@@ -433,37 +436,71 @@ class _FullRebuild(AlgSpannerState):
 def assert_matches_full_rebuild(st, ref):
     assert st.helper == greedy_spanner(st.g, st.helper_stretch) == ref.helper
     assert ref.helper == _greedy_by_bfs(st.g, st.helper_stretch)
-    assert st.active == st.brute_force_active() == ref.active
+    assert st.active == helper_active(st) == ref.active
     assert st.H == ref.H
     assert st.fallback_pairs == ref.fallback_pairs
     assert st.reinit_events == ref.reinit_events
 
 
-@given(
-    n=hst.integers(2, 40),
-    density=hst.floats(0.0, 0.3),
-    k=hst.integers(1, 2),
-    b=hst.integers(2, 6),
-    seed=hst.integers(0, 2**16),
-    updates=hst.integers(1, 25),
-    # a threshold below |H| re-initialises (a fresh path core) on every update
-    reinit_threshold=hst.none() | hst.integers(0, 40),
-)
-@settings(max_examples=30, deadline=None)
-def test_maintained_helper_matches_a_full_rebuild_after_every_update(
-    n, density, k, b, seed, updates, reinit_threshold
-):
-    g, rng = random_graph(n, int(density * n * (n - 1) / 2), seed)
-    params = dict(eps=1, kappa=0.5, seed=seed, k=k, b=b)
-    st = AlgSpannerState(g.copy(), **params)
-    ref = _FullRebuild(g.copy(), **params)
-    assert_matches_full_rebuild(st, ref)
-    if reinit_threshold is not None:
-        st.reinit_threshold = ref.reinit_threshold = reinit_threshold
-    for ev in mixed_events(g, rng, updates):
-        st.alg_update(ev)
-        ref.alg_update(ev)
-        assert_matches_full_rebuild(st, ref)
+def _bfs_level_multi_hop_pairs(st) -> int:
+    """Pairs of active vertices on a level below gamma, so paired by BFS,
+    that lie two or more hops apart within the level's pair threshold."""
+    count = 0
+    for i in range(st.gamma):
+        members = [v for v in range(st.g.n) if st.level[v] == i and st.active[v]]
+        for a in members:
+            dist = bfs_dist_bounded(st.g, [a], st._pair_floors[i])
+            count += sum(2 <= dist.get(a2, 0) for a2 in members if a2 > a)
+    return count
+
+
+def test_maintained_helper_matches_a_full_rebuild_after_every_update(monkeypatch):
+    # b >= 32 lets level 0 pair vertices two or more hops apart on small
+    # graphs, and with k = 2 that level is below gamma = 1, so walked by
+    # BFS; the explicit example is one such run.  Those paths often lie
+    # in the helper already, so each update's added paths are compared,
+    # not only H.
+    multi_hop = []
+    paths = {}
+    real_add_path = AlgSpannerState._add_path
+
+    def add_path(self, path):
+        paths.setdefault(self, set()).add(tuple(path))
+        real_add_path(self, path)
+
+    monkeypatch.setattr(AlgSpannerState, "_add_path", add_path)
+
+    @given(
+        n=hst.integers(2, 40),
+        density=hst.floats(0.0, 0.3),
+        k=hst.integers(1, 2),
+        b=hst.integers(2, 6) | hst.integers(32, 200),
+        seed=hst.integers(0, 2**16),
+        updates=hst.integers(1, 25),
+        # a threshold below |H| re-initialises (a fresh path core) on every update
+        reinit_threshold=hst.none() | hst.integers(0, 40),
+    )
+    @example(n=12, density=0.1, k=2, b=100, seed=2, updates=10, reinit_threshold=None)
+    @settings(max_examples=30, deadline=None)
+    def run(n, density, k, b, seed, updates, reinit_threshold):
+        g, rng = random_graph(n, int(density * n * (n - 1) / 2), seed)
+        params = dict(eps=1, kappa=0.5, seed=seed, k=k, b=b)
+        paths.clear()
+        st = AlgSpannerState(g.copy(), **params)
+        ref = _FullRebuild(g.copy(), **params)
+        if reinit_threshold is not None:
+            st.reinit_threshold = ref.reinit_threshold = reinit_threshold
+        for ev in [None, *mixed_events(g, rng, updates)]:
+            if ev is not None:
+                paths.clear()
+                st.alg_update(ev)
+                ref.alg_update(ev)
+            assert_matches_full_rebuild(st, ref)
+            assert paths.get(st) == paths.get(ref)
+            multi_hop.append(_bfs_level_multi_hop_pairs(st))
+
+    run()
+    assert sum(multi_hop) > 0
 
 
 def test_lowered_reinit_threshold_reinitialises_and_still_matches():
@@ -682,6 +719,6 @@ def test_threshold_floors_agree_with_the_exact_thresholds(eps, k):
             for d in set(range(st.depth + 3)) | set(range(floor - 1, floor + 3)):
                 assert (d <= floor) == (Fraction(d) <= thr), (i, d)
             for j in range(k + 1):
-                thr, floor = st.block_threshold(i, j), st._block_floors[i][j]
+                thr, floor = Fraction(st.c_sum(i, j), 4), st._block_floors[j][i]
                 for d in set(range(st.depth + 3)) | set(range(floor - 1, floor + 3)):
                     assert (d <= floor) == (Fraction(d) <= thr), (i, j, d)

@@ -42,20 +42,40 @@ def random_graph(n, m, seed):
     return g, rng
 
 
-def bfs_active(st: SpannerState) -> dict[int, bool]:
+def bfs_active(g, levels, floors) -> list[bool]:
     """The activeness predicate from one bounded BFS per vertex above
-    level 0 (the reference for the budgeted BFS)."""
-    blocked = set()
-    for a in range(st.g.n):
-        j = st.level[a]
+    level 0 (the reference for blocked_vertices, which both spanners use).
+
+    floors[j][i] is the floor of the threshold between a level-j blocker
+    and a level-i blockee.
+    """
+    active = [True] * g.n
+    for a in range(g.n):
+        j = levels[a]
         if j == 0:
             continue
-        floors = st._floors[j]
-        for x, dx in bfs_dist_bounded(st.g, a, floors[0]).items():
-            i = st.level[x]
-            if i < j and dx <= floors[i]:
-                blocked.add(x)
-    return {v: v not in blocked for v in range(st.g.n)}
+        for x, dx in bfs_dist_bounded(g, [a], max(floors[j][:j])).items():
+            i = levels[x]
+            if i < j and dx <= floors[j][i]:
+                active[x] = False
+    return active
+
+
+def brute_force_active(g, levels, floors) -> list[bool]:
+    """The activeness predicate evaluated directly on all-pairs distances."""
+    dist = all_pairs_dist(g)
+    return [
+        not any(
+            levels[a] > levels[x] and dist[a][x] <= floors[levels[a]][levels[x]]
+            for a in range(g.n)
+        )
+        for x in range(g.n)
+    ]
+
+
+def spanner_bfs_active(st: SpannerState) -> dict[int, bool]:
+    """bfs_active for a SpannerState, keyed by vertex as its activeness is."""
+    return dict(enumerate(bfs_active(st.g, st.level, st._floors)))
 
 
 def check_state(st: SpannerState):
@@ -71,7 +91,7 @@ def check_state(st: SpannerState):
         for j in range(g.n):
             if dg[i][j] < math.inf:
                 assert dh[i][j] <= (1 + st.eps) * dg[i][j] + st.beta_certificate
-    assert st.active == bfs_active(st) == st.recompute_active_from_scratch()
+    assert st.active == spanner_bfs_active(st) == st.recompute_active_from_scratch()
 
 
 def test_decremental_maintenance_matches_scratch():
@@ -237,7 +257,7 @@ def test_rebuild_spanner_distances_are_bfs_on_its_edges():
             assert sp.dist(u, v) == h[u][v]
 
 
-# ---- the budgeted activeness against one BFS per vertex ------------------------
+# ---- the activeness pass against one BFS per vertex ----------------------------
 
 
 @hst.composite
@@ -273,11 +293,12 @@ def leveled_graphs(draw):
 def test_budgeted_activeness_equals_one_bfs_per_vertex(case, seed):
     g, k, eps, levels, floors = case
     st = SpannerState(g, eps=eps, seed=seed, k=k)
-    assert st.active == bfs_active(st) == st.recompute_active_from_scratch()
+    assert st.active == spanner_bfs_active(st) == st.recompute_active_from_scratch()
     st.level = levels
-    assert st.recompute_active_from_scratch() == bfs_active(st)
+    assert st.recompute_active_from_scratch() == spanner_bfs_active(st)
     st._floors = floors
-    assert st.recompute_active_from_scratch() == bfs_active(st)
+    assert st.recompute_active_from_scratch() == spanner_bfs_active(st)
+    assert bfs_active(g, levels, floors) == brute_force_active(g, levels, floors)
 
 
 def test_budgeted_activeness_on_a_path_stops_at_the_floor():
@@ -287,4 +308,43 @@ def test_budgeted_activeness_on_a_path_stops_at_the_floor():
     st.level = [1] + [0] * 79
     active = st.recompute_active_from_scratch()
     assert [v for v in range(80) if not active[v]] == list(range(1, 57))
-    assert active == bfs_active(st)
+    assert active == spanner_bfs_active(st)
+
+
+@given(
+    n=hst.integers(2, 80),
+    chords=hst.integers(0, 10),
+    k=hst.integers(1, 3),
+    mode=hst.sampled_from([DECREMENTAL, INCREMENTAL]),
+    updates=hst.integers(1, 15),
+    seed=hst.integers(0, 2**16),
+)
+@settings(max_examples=30, deadline=None)
+# deleting (6, 7) cuts 7 (level 2) and 8 (level 1) off every level-3
+# vertex; 7 turns active and blocks 8, which must stay inactive
+@example(n=9, chords=0, k=3, mode=DECREMENTAL, updates=1, seed=0)
+def test_maintained_activeness_equals_the_per_vertex_oracles_after_every_update(
+    n, chords, k, mode, updates, seed
+):
+    # a path with a few chords: longer than the level-1 floor of 56 at
+    # eps = 1 when n is large, so a blocker reaches only part of it
+    rng = random.Random(seed)
+    edges = {(v, v + 1) for v in range(n - 1)}
+    for _ in range(chords):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    g = graph_of(n, edges)
+    st = SpannerState(g, eps=1, seed=seed, mode=mode, k=k)
+    for step in range(updates + 1):
+        if step:
+            if mode == DECREMENTAL:
+                if not g.edge_count:
+                    break
+                st.sp_update(DeleteEdge(*rng.choice(sorted(g.edges()))))
+            else:
+                u, v = sorted(rng.sample(range(n), 2))
+                if g.has_edge(u, v):
+                    continue
+                st.sp_update(InsertEdge(u, v))
+        oracle = dict(enumerate(brute_force_active(g, st.level, st._floors)))
+        assert st.active == spanner_bfs_active(st) == oracle

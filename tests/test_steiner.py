@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from test_apsp import PerPairPaths, path_graph
-from test_spanner_comb import bfs_active
+from test_spanner_comb import spanner_bfs_active
 
 from dynsp._kernels import derive_seed
 from dynsp.apsp import ApproxApsp
@@ -261,12 +261,12 @@ def test_block_closure_and_tree_equal_the_per_pair_closure(seed):
 
 class _BfsActiveState(SpannerState):
     def recompute_active_from_scratch(self):
-        return bfs_active(self)
+        return spanner_bfs_active(self)
 
 
 class _BfsActiveSpanner(RebuildSpanner):
     """RebuildSpanner whose constructions decide activeness with one BFS
-    per vertex (the reference for the budgeted BFS)."""
+    per vertex (the reference for the activeness pass, one BFS per level)."""
 
     def _ensure(self):
         if self._state is None:
