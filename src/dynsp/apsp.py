@@ -159,9 +159,8 @@ class HittingSetApsp:
 
     def exact_dist_matrix(self) -> np.ndarray:
         """All-pairs distances at once (the acceptance-audit fast path)."""
-        md = self.pr.dist_matrix()
-        short = _capped(md, self.D)
-        np.fill_diagonal(short, 0.0)
+        everyone = range(self.g.n)
+        short = _capped(self.pr.dist_block(everyone, everyone), self.D)
         if not self.H:
             return short
         to_h = short[:, self.H]            # D^D_ip

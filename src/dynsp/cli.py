@@ -132,7 +132,9 @@ REGISTRY = {
         _hsize,
     ),
     "steiner": Structure(
-        lambda g, a: SteinerState(g, [], eps=a.eps, seed=a.seed),
+        lambda g, a: SteinerState(
+            g, [], provider=ApproxApsp(g, a.eps / 2, seed=a.seed, D=a.D, spanner_k=a.k)
+        ),
         lambda st: _approx(st.provider),
         lambda st: f"weight={st.tree.weight}",
     ),
@@ -255,6 +257,8 @@ def _parse_directed(text: str) -> DynamicGraph:
     """Directed edge-list: first line 'n', then 'u v' per line."""
     lines = [l.split("#")[0].strip() for l in text.splitlines()]
     lines = [l for l in lines if l]
+    if not lines:
+        raise ValueError("graph file is missing its n header line")
     arcs = [tuple(map(int, line.split())) for line in lines[1:]]
     return graph_of(int(lines[0]), arcs, directed=True)
 

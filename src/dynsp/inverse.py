@@ -1,32 +1,28 @@
 """Dynamic truncated-polynomial matrix inverse with lazy T/N factorization.
 
-Maintains M^-1 = T(I + N) and det M for M = I - A, where A is the
-symbolic adjacency.  One update changes one entry A[i, j], or the pair
-A[i, j] and A[j, i] of an undirected edge, as one rank-k Woodbury step
-with k = 1 or 2.  With U the identity's columns [i, j] and V^T M^-1 the
-rows [j, i] of M^-1, each times its entry's change to M:
+Maintains M^-1 = T(I + N) for M = I - A, where A is the symbolic
+adjacency.  Every edge entry of A is r u for a nonzero field scalar r,
+and one update adds r u to one entry A[i, j], or r u and back u to the
+pair A[i, j] and A[j, i] of an undirected edge, as one rank-k Woodbury
+step with k = 1 or 2.  With U the identity's columns [i, j] and V^T M^-1
+the rows [j, i] of M^-1:
 
-    B = V^T M^-1,  C = I + B U,  B' = -C^-1 B,
-    M'^-1 = M^-1 (I + U B'),  det M' = det M det C.
+    B = -u diag(r, back) V^T M^-1,  C = I + B U,  B' = -C^-1 B,
+    M'^-1 = M^-1 (I + U B').
 
-C^-1 is adj(C) det(C)^-1, computed on exact integers.  Between resets
-only the row-sparse matrix N changes, N <- N + (N U + U) B'.  Once
-reset_period = max(1, round(n^kappa)) oriented entries have changed
-since the last reset, T absorbs N (T <- T(I+N), N <- 0).
+So B is those rows shifted up one degree and scaled, and the constant
+term of C is I: C is a unit, and C^-1 = adj(C) det(C)^-1 is computed
+on exact integers.  Between resets only the row-sparse matrix N
+changes, N <- N + (N U + U) B'.  Once reset_period = max(1,
+round(n^kappa)) oriented entries have changed since the last reset, T
+absorbs N (T <- T(I+N), N <- 0).
 
 Construction.  encode sets every edge entry of A to u r_ij, so A = u R
 for a scalar n x n matrix R, and M^-1 = sum_k u^k R^k: the degree-k
-coefficient of T is R^k, D chained scalar products.  The determinant
-follows from the traces s_k = tr(R^k) of the same powers, by Newton's
-identities: log det(I - uR) = -sum_k s_k u^k / k, so its coefficients
-satisfy k c_k = -sum_(i=1..k) s_i c_(k-i) with c_0 = 1.  Dividing by k
-needs D < p.  The state starts with N = 0 and no update made.
-
-Sign convention: callers pass the additive change applied to A; the
-negation for M = I - A happens here.  Every legal update has zero
-constant coefficient (edge entries carry a factor u), which keeps the
-constant term of C equal to I, so det C is a unit and the determinant's
-constant term stays 1.
+coefficient of T is R^k, D chained scalar products.  The state starts
+with N = 0 and no update made.  Nothing divides by an integer, so any
+D >= 1 is legal, D >= p included.  Only min-degrees of entries are
+read downstream, so det M is not kept.
 
 A registered SubmatrixView keeps M^-1 on H x H by adding each update's
 correction, read against the inverse before the update.
@@ -35,15 +31,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import add_mod, mat_powers, neg_mod, poly_mat_mul
+from ._kernels import add_mod, mat_powers, mul_mod, poly_mat_mul
 from .polymat import EncodedAdjacency
-from .ring import TruncPoly, poly_inv, poly_mul, poly_neg
+from .ring import TruncPoly, poly_inv, poly_neg
 
 DEFAULT_KAPPA = 0.529
-
-
-class NonUnitPivot(RuntimeError):
-    """The capacitance's constant term is not I; impossible for legal edge updates."""
 
 
 def _take(arr: np.ndarray, rows, cols) -> np.ndarray:
@@ -53,36 +45,19 @@ def _take(arr: np.ndarray, rows, cols) -> np.ndarray:
     return arr[rows] if cols is None else arr[np.ix_(rows, cols)]
 
 
-def _neg_capacitance_inverse(C: np.ndarray, p: int):
-    """-C^-1 as a (k, k, D+1) array, and det C, for a 1x1 or 2x2 C.
+def _neg_capacitance_inverse(C: np.ndarray, p: int) -> np.ndarray:
+    """-C^-1 as a (k, k, D+1) array for a 1x1 or 2x2 C with a unit det C.
 
     C^-1 = adj(C) det(C)^-1; every product runs on exact integers.
     """
     c = [[TruncPoly(p, e) for e in row] for row in C]
     if len(c) == 1:
-        det = c[0][0]
-        return poly_neg(poly_inv(det)).coeffs[None, None], det
+        return poly_neg(poly_inv(c[0][0])).coeffs[None, None]
     (a, b), (e, d) = c
-    det = a * d - b * e
-    inv = poly_inv(det)
+    inv = poly_inv(a * d - b * e)
     ninv = poly_neg(inv)
     neg_cinv = [[d * ninv, b * inv], [e * inv, a * ninv]]
-    return np.array([[x.coeffs for x in row] for row in neg_cinv]), det
-
-
-def _det_from_power_traces(T: np.ndarray, p: int) -> np.ndarray:
-    """det(I - uR) mod u^(D+1), where T[:, :, k] = R^k.
-
-    Newton's identities k c_k = -sum_(i=1..k) s_i c_(k-i) on exact
-    integers, with s_i = tr(R^i) (a uint64 sum of n entries below p
-    could overflow); k c_k is divided by k, which needs D < p.
-    """
-    s = [sum(diag.tolist()) % p for diag in np.diagonal(T, axis1=0, axis2=1)]
-    c = [1]
-    for k in range(1, len(s)):
-        acc = sum(s[i] * c[k - i] for i in range(1, k + 1))
-        c.append(-acc * pow(k, -1, p) % p)
-    return np.array(c, dtype=np.uint64)
+    return np.array([[x.coeffs for x in row] for row in neg_cinv])
 
 
 class SubmatrixView:
@@ -111,14 +86,13 @@ class InverseState:
         self.p = A.params.p
         self.n = A.n
         self.D = A.D
-        if not 1 <= self.D < self.p:
-            raise ValueError(f"need 1 <= D < p, got D = {self.D} and p = {self.p}")
+        if self.D < 1:
+            raise ValueError(f"need D >= 1, got D = {self.D}")
         self.kappa = kappa
         self.reset_period = max(1, round(self.n**kappa))
         self.T = mat_powers(A.R, self.D, self.p)
         self.N = np.zeros_like(self.T)
         self.nrows: list[int] = []
-        self.det = _det_from_power_traces(self.T, self.p)
         self.updates_since_reset = 0
         self._views: list[SubmatrixView] = []
         self._counts = dict.fromkeys(
@@ -159,9 +133,6 @@ class InverseState:
         """The entire maintained inverse T(I+N), densely."""
         return self._block(None, None)
 
-    def det_poly(self) -> TruncPoly:
-        return TruncPoly(self.p, self.det.copy())
-
     def stats(self) -> dict[str, int]:
         """Deterministic counters of the work done since construction.
 
@@ -174,34 +145,29 @@ class InverseState:
 
     # ---- updates -----------------------------------------------------------
 
-    def dinv_update(self, i: int, j: int, dv: np.ndarray, back=None) -> None:
-        """Add dv to A[i, j], and back to A[j, i] when given, in one update."""
+    def dinv_update(self, i: int, j: int, r: int, back: int | None = None) -> None:
+        """Add r u to A[i, j], and back u to A[j, i] when given, in one update."""
         p = self.p
         cols, rows = ([i], [j]) if back is None else ([i, j], [j, i])
+        scalars = [r] if back is None else [r, back]
         k = len(cols)
-        dvs = np.asarray([dv] if back is None else [dv, back], dtype=np.uint64)
-        # B = diag(v) (rows [j, i] of T(I+N)), with v the change to M = I - A
-        diag = np.zeros((k, k, self.D + 1), dtype=np.uint64)
-        diag[range(k), range(k)] = neg_mod(dvs, p)
-        B = poly_mat_mul(diag, self._block(rows, None), p)
+        # B = -u diag(r, back) (rows [j, i] of T(I+N)): each row one degree up, times -r
+        neg_r = np.array([-x % p for x in scalars], dtype=np.uint64)[:, None, None]
+        B = np.zeros((k, self.n, self.D + 1), dtype=np.uint64)
+        B[:, :, 1:] = mul_mod(neg_r, self._block(rows, None)[:, :, :-1], p)
         C = B[:, cols]
-        if C[:, :, 0].any():
-            raise NonUnitPivot("update with nonzero constant coefficient")
         C[range(k), range(k), 0] = 1
-        neg_cinv, det_c = _neg_capacitance_inverse(C, p)
-        bprime = poly_mat_mul(neg_cinv, B, p)
+        bprime = poly_mat_mul(_neg_capacitance_inverse(C, p), B, p)
         # submatrix views see the rank-k correction against the OLD inverse
         for view in self._views:
             if view.H:
                 view._apply(self._block(view.H, cols), bprime[:, view.H])
-        # determinant picks up det C
-        self.det = poly_mul(TruncPoly(p, self.det), det_c).coeffs
         # N <- N + (N U + U) B'
         affected = sorted(set(self.nrows).union(cols))
         vec = _take(self.N, affected, cols)
         for s, c in enumerate(cols):
-            r = affected.index(c)
-            vec[r, s, 0] = (int(vec[r, s, 0]) + 1) % p
+            a = affected.index(c)
+            vec[a, s, 0] = (int(vec[a, s, 0]) + 1) % p
         self.N[affected] = add_mod(self.N[affected], poly_mat_mul(vec, bprime, p), p)
         self.nrows = affected
         counts = self._counts

@@ -2,10 +2,11 @@
 
 A graph G maps to the matrix A with A_ij = u * r_ij for every oriented
 edge (i, j), where r_ij is a nonzero field element fixed once per ordered
-pair by the seed (so re-inserting a deleted edge reuses the same value and
-an edge update is always an additive change of known magnitude).  Every
-entry is a multiple of u, so the encoding holds only the scalar n x n
-matrix R of the initial edge set; the inverse is built from its powers.
+pair by the seed (so re-inserting a deleted edge reuses the same value).
+An edge update adds s u to one entry, with s = r_ij or p - r_ij, and
+entry_delta returns that scalar s.  Every entry is a multiple of u, so
+the encoding holds only the scalar n x n matrix R of the initial edge
+set; the inverse is built from its powers.
 The min-degree of entry (i, j) of (I - A)^-1 equals dist_G(i, j) with
 high probability; that is the bridge from algebra back to shortest paths.
 """
@@ -37,13 +38,11 @@ class EncodedAdjacency:
         """The fixed random coefficient for ordered pair (i, j)."""
         return rand_unit(self.params.p, self._edge_seed, 0x0E, i * self.n + j)
 
-    def entry_delta(self, i: int, j: int, present: bool) -> np.ndarray:
-        """Additive change to A_ij when the oriented edge appears/disappears."""
-        p = self.params.p
-        delta = np.zeros(self.D + 1, dtype=np.uint64)
+    def entry_delta(self, i: int, j: int, present: bool) -> int:
+        """The scalar s with A_ij gaining s u when the oriented edge appears
+        (r_ij) or disappears (p - r_ij)."""
         r = self.r_value(i, j)
-        delta[1] = r if present else p - r
-        return delta
+        return r if present else self.params.p - r
 
 
 def encode(g: DynamicGraph, params: FieldParams, D: int) -> EncodedAdjacency:

@@ -156,8 +156,8 @@ class PathReporter:
         """Deterministic counters of the reads made since construction.
 
         block_reads counts inverse reads: one per non-empty dist_block
-        (pr_dist of two distinct vertices is a 1 x 1 one), dist_matrix
-        and non-empty column_block call (path makes a one-column one).
+        (pr_dist of two distinct vertices is a 1 x 1 one) and non-empty
+        column_block call (path makes a one-column one).
         entries_read counts the entries they returned, column_reads the
         columns read for walks, successor_steps the hops walked and
         no_witness the walks that raised NoWitnessFound.
@@ -195,12 +195,6 @@ class PathReporter:
         """The distance from i to j; inf beyond D."""
         d = self.pr_dist(i, j)
         return math.inf if d is BEYOND else float(d)
-
-    def dist_matrix(self) -> np.ndarray:
-        """min-degrees of the full inverse; D+1 encodes beyond-D (test/apsp hook)."""
-        md = self._read(None, None)
-        np.fill_diagonal(md, 0)
-        return md
 
     def copy_values(self, i: int, j: int) -> np.ndarray:
         """(num_copies, D+1) witness sums for the pair (i, j), all copies."""

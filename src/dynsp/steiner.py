@@ -145,34 +145,20 @@ class SteinerState:
 
     # ---- construction ------------------------------------------------------
 
-    def _terminal_groups(self) -> list[list[int]]:
-        """Connected groups of terminals under finite closure distances."""
-        terms = sorted(self.S)
-        seen: set[int] = set()
-        groups = []
-        for t in terms:
-            if t in seen:
-                continue
-            grp = [t]
-            seen.add(t)
-            stack = [t]
-            while stack:
-                a = stack.pop()
-                for b2, d in self.closure[a].items():
-                    if b2 not in seen and d < INF:
-                        seen.add(b2)
-                        grp.append(b2)
-                        stack.append(b2)
-            groups.append(sorted(grp))
-        return groups
-
     def _mst_edges(self) -> list[tuple[int, int]]:
-        """Kruskal on the terminal clique, deterministic (w, a, b) order."""
+        """Kruskal on the terminal clique's finite entries, in deterministic
+        (w, a, b) order.
+
+        Raises Disconnected, with the union-find's groups in order of
+        their least terminal, when those entries span no tree.
+        """
         terms = sorted(self.S)
+        closure = self.closure
         cand = sorted(
-            (self.closure[a][b2], a, b2)
+            (closure[a][b2], a, b2)
             for i, a in enumerate(terms)
             for b2 in terms[i + 1 :]
+            if closure[a][b2] < INF
         )
         parent = {t: t for t in terms}
 
@@ -188,14 +174,16 @@ class SteinerState:
             if ra != rb:
                 parent[ra] = rb
                 out.append((a, b2))
+        if len(out) < len(terms) - 1:
+            groups: dict[int, list[int]] = {}
+            for t in terms:
+                groups.setdefault(find(t), []).append(t)
+            raise Disconnected(list(groups.values()))
         return out
 
     def _rebuild_tree(self) -> SteinerTree:
         if len(self.S) <= 1:
             return SteinerTree(frozenset(self.S), frozenset())
-        groups = self._terminal_groups()
-        if len(groups) > 1:
-            raise Disconnected(groups)
         union: dict[int, set[int]] = {}
         for path in self.provider.paths(self._mst_edges()):
             for x, y in zip(path, path[1:]):

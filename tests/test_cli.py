@@ -173,6 +173,14 @@ def test_verify_checks_path_lengths_against_the_certificate(tmp_path, monkeypatc
     assert capsys.readouterr().out == "FAIL at event 0: path length inf, oracle 2\n"
 
 
+@pytest.mark.parametrize("text", ["", "# no header\n\n"], ids=["empty", "comment-only"])
+def test_kcycle_graph_without_a_header_is_a_usage_error(tmp_path, capsys, text):
+    graph = tmp_path / "g.edges"
+    graph.write_text(text)
+    assert main(["gen", "kcycle", "--graph", str(graph), "--out", str(tmp_path / "kc")]) == 2
+    assert capsys.readouterr().err == "error: graph file is missing its n header line\n"
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["verify", "--structure", "nope", "--script", "x"]) == 2
     assert main(["verify", "--structure", "bfs-oracle", "--script", str(tmp_path / "missing.txt")]) == 2
@@ -261,7 +269,7 @@ RUN_CSV_SHA256 = {
     "path-reporter": "1f4af46cd9e708c45dc5808cb1c91a480a671fe08df858d35068c198ca74e70c",
     "spanner-comb": "7a48374030fed90091693d17e9ca7d0fa0192069d515436aea23ed009572163e",
     "spanner-alg": "863465017804ff8b39dcac3de8ac70620a43330bc832ead132b9781b9a967aa4",
-    "steiner": "bdbffdefba9aab987a78f19208a9abcbdf8af557ec54bb1a80f31990581d5edb",
+    "steiner": "b7edfd5404965c82832850406410a5182658f3535517ad2f0ec3a9a3c26c4767",
     "bfs-oracle": "026c415351dfd01bc913c57dbe9b6545819985f28aa406caacc7f2c746308f84",
 }
 
@@ -318,14 +326,14 @@ def test_directed_script_paths_follow_arcs(tmp_path, capsys):
 # counters each structure's --stats line must hold: the path-core reads
 # wherever a path core reads, the spanner's rebuilds, and the queries the
 # exact APSP answered through H or from its kept closure alone.  steiner's
-# provider has D = n, so no read goes past D and its spanner never rebuilds
+# provider runs at --D 3 on an 8-vertex script, so some reads go past D
 STATS_KEYS = {
     "exact-apsp": {"block_reads", "column_reads", "stitched", "closure_answers"},
     "path-reporter": {"block_reads", "column_reads"},
     "spanner-alg": {"updates", "reporter_block_reads", "reporter_column_reads"},
     "approx-apsp": {"block_reads", "column_reads", "spanner_rows", "spanner_rebuilds"},
     "spanner-comb": {"updates", "rebuilds"},
-    "steiner": {"block_reads", "column_reads", "closure_reads"},
+    "steiner": {"block_reads", "column_reads", "closure_reads", "spanner_rows", "spanner_rebuilds"},
 }
 
 
@@ -348,10 +356,18 @@ def test_run_stats_prints_one_json_line_and_keeps_the_csv(tmp_path, capsys, stru
     assert stats and all(isinstance(v, int) for v in stats.values())
     assert STATS_KEYS[structure] <= stats.keys()
     assert all(stats[key] > 0 for key in STATS_KEYS[structure])
-    if structure == "steiner":
-        assert stats["spanner_rows"] == stats["spanner_rebuilds"] == 0
     assert main(argv + ["--stats"]) == 0
     assert capsys.readouterr().err == counted.err  # deterministic
+
+
+def test_steiner_takes_its_degree_bound_from_the_command_line(tmp_path, capsys):
+    # at --D 2 some distances on the 16-vertex script lie past D, so the
+    # provider answers their rows from its spanner
+    script = gen_random(tmp_path, n=16, updates=24, seed=5)
+    argv = ["--structure", "steiner", "--script", str(script), "--D", "2", "--k", "1"]
+    assert main(["run", "--stats", *argv, "--out", str(tmp_path / "o.csv")]) == 0
+    assert json.loads(capsys.readouterr().err)["spanner_rows"] > 0
+    assert main(["verify", *argv]) == 0
 
 
 @pytest.mark.parametrize("structure", ["bfs-oracle"])

@@ -105,5 +105,5 @@ def test_edge_coefficients_are_stable_across_reinsertion():
     A = encode(g, params, 3)
     assert np.array_equal(A.R, R)
     on, off = A.entry_delta(0, 1, True), A.entry_delta(0, 1, False)
-    assert np.array_equal(sub_mod(np.zeros_like(on), on, params.p), off)
-    assert int(on[1]) == int(R[0, 1]) != 0
+    assert (on + off) % params.p == 0
+    assert on == int(R[0, 1]) != 0

@@ -48,7 +48,7 @@ def drive(n, D, seed, steps, p=None):
 def test_distances_match_bfs():
     for pr, _ in drive(14, 5, seed=1, steps=50):
         truth = all_pairs_dist(pr.g)
-        md = pr.dist_matrix()
+        md = pr.dist_block(range(14), range(14))
         for i in range(14):
             for j in range(14):
                 want = truth[i][j]
@@ -246,7 +246,6 @@ def test_dist_block_matches_pr_dist_after_every_update(n, D, seed, small_p, pick
             got = pr.dist_block(rows, cols)
             assert got.shape == (len(rows), len(cols))
             assert np.array_equal(got, _per_pair(pr, rows, cols)), (rows, cols)
-        assert np.array_equal(pr.dist_block(everyone, everyone), pr.dist_matrix())
     # some reads ran against a nonzero N, unless every update resets
     assert pending or pr.host.reset_period <= 2
 
