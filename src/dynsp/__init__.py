@@ -46,19 +46,7 @@ from .estree import DECREMENTAL, INCREMENTAL, EsTree, ModeViolation
 from .inverse import DEFAULT_KAPPA, InverseState, SubmatrixView
 from .polymat import EncodedAdjacency, encode
 from .reporter import BEYOND, NoWitnessFound, PathReporter
-from .ring import (
-    DEFAULT_PRIME,
-    FieldParams,
-    NonUnit,
-    ParamMismatch,
-    TruncPoly,
-    poly_add,
-    poly_inv,
-    poly_mul,
-    poly_neg,
-    poly_scale,
-    poly_sub,
-)
+from .ring import DEFAULT_PRIME, FieldParams, poly_inv
 from .spanner_alg import AlgSpannerState
 from .spanner_comb import REBUILD, RebuildSpanner, SpannerState, sp_rebuild_update
 from .steiner import Disconnected, SteinerState, SteinerTree, TerminalStateError

@@ -78,11 +78,6 @@ def sub_mod(a, b, p):
     return np.where(a >= b, a - b, a + np.uint64(p) - b)
 
 
-def neg_mod(a, p):
-    a = np.asarray(a, dtype=np.uint64)
-    return np.where(a == 0, a, np.uint64(p) - a)
-
-
 def _mul_mod_m61(a, b):
     p = np.uint64(MERSENNE61)
     ah = a >> np.uint64(32)

@@ -11,11 +11,11 @@ the rows [j, i] of M^-1:
     M'^-1 = M^-1 (I + U B').
 
 So B is those rows shifted up one degree and scaled, and the constant
-term of C is I: C is a unit, and C^-1 = adj(C) det(C)^-1 is computed
-on exact integers.  Between resets only the row-sparse matrix N
-changes, N <- N + (N U + U) B'.  Once reset_period = max(1,
-round(n^kappa)) oriented entries have changed since the last reset, T
-absorbs N (T <- T(I+N), N <- 0).
+term of C is I: C is a unit, and ring.poly_inv inverts it as one k x k
+power series on exact integers, the same code for k = 1 and k = 2.
+Between resets only the row-sparse matrix N changes, N <- N + (N U +
+U) B'.  Once reset_period = max(1, round(n^kappa)) oriented entries
+have changed since the last reset, T absorbs N (T <- T(I+N), N <- 0).
 
 Construction.  encode sets every edge entry of A to u r_ij, so A = u R
 for a scalar n x n matrix R, and M^-1 = sum_k u^k R^k: the degree-k
@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import add_mod, mat_powers, mul_mod, poly_mat_mul
+from ._kernels import add_mod, mat_powers, mul_mod, poly_mat_mul, sub_mod
 from .polymat import EncodedAdjacency
-from .ring import TruncPoly, poly_inv, poly_neg
+from .ring import poly_inv
 
 DEFAULT_KAPPA = 0.529
 
@@ -43,21 +43,6 @@ def _take(arr: np.ndarray, rows, cols) -> np.ndarray:
     if rows is None:
         return arr if cols is None else arr[:, cols]
     return arr[rows] if cols is None else arr[np.ix_(rows, cols)]
-
-
-def _neg_capacitance_inverse(C: np.ndarray, p: int) -> np.ndarray:
-    """-C^-1 as a (k, k, D+1) array for a 1x1 or 2x2 C with a unit det C.
-
-    C^-1 = adj(C) det(C)^-1; every product runs on exact integers.
-    """
-    c = [[TruncPoly(p, e) for e in row] for row in C]
-    if len(c) == 1:
-        return poly_neg(poly_inv(c[0][0])).coeffs[None, None]
-    (a, b), (e, d) = c
-    inv = poly_inv(a * d - b * e)
-    ninv = poly_neg(inv)
-    neg_cinv = [[d * ninv, b * inv], [e * inv, a * ninv]]
-    return np.array([[x.coeffs for x in row] for row in neg_cinv])
 
 
 class SubmatrixView:
@@ -157,7 +142,7 @@ class InverseState:
         B[:, :, 1:] = mul_mod(neg_r, self._block(rows, None)[:, :, :-1], p)
         C = B[:, cols]
         C[range(k), range(k), 0] = 1
-        bprime = poly_mat_mul(_neg_capacitance_inverse(C, p), B, p)
+        bprime = poly_mat_mul(sub_mod(0, poly_inv(C, p), p), B, p)
         # submatrix views see the rank-k correction against the OLD inverse
         for view in self._views:
             if view.H:

@@ -1,10 +1,11 @@
-"""Arithmetic in F_p and the truncated polynomial ring F_p[u]/<u^(D+1)>.
+"""The field F_p, and the inverse of a small matrix over F_p[u]/<u^(D+1)>.
 
-A TruncPoly is a dense coefficient vector of length D+1; the degree of
-its lowest nonzero term is what the rest of the library cares about,
-because that degree encodes a hop distance.  Values are immutable.
-Products and inverses of single elements run on exact Python ints: at
-these lengths a BLAS limb product is all call overhead.
+A truncated polynomial is a coefficient array whose last axis holds
+the D+1 coefficients; the degree of an entry's lowest nonzero term is
+what the rest of the library cares about, because that degree encodes
+a hop distance.  poly_inv inverts the k x k capacitance matrix of a
+rank-k update (k = 1 or 2) as one matrix power series on exact Python
+ints: at these sizes a BLAS limb product is all call overhead.
 
 The default modulus is the Mersenne prime 2^61 - 1.  Small primes
 (below 2^31) are accepted for stress tests; other moduli are rejected
@@ -12,28 +13,14 @@ because the vectorized kernels cannot reduce their products exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
-from ._kernels import (
-    MERSENNE61,
-    add_mod,
-    mul_mod,
-    neg_mod,
-    sub_mod,
-    supported_prime,
-)
+from ._kernels import MERSENNE61, supported_prime
 
 DEFAULT_PRIME = MERSENNE61
-
-
-class ParamMismatch(ValueError):
-    """Operands disagree on modulus or degree bound."""
-
-
-class NonUnit(ValueError):
-    """Inversion of an element with zero constant coefficient."""
 
 
 def _is_prime(m: int) -> bool:
@@ -75,113 +62,32 @@ class FieldParams:
             raise ValueError(f"{self.p} is not prime")
 
 
-class TruncPoly:
-    """Element of F_p[u]/<u^(D+1)>; coeffs[d] is the coefficient of u^d."""
+def poly_inv(C: np.ndarray, p: int) -> np.ndarray:
+    """C^-1 for a (k, k, D+1) coefficient array whose constant term is I.
 
-    __slots__ = ("p", "_c")
-
-    def __init__(self, p: int, coeffs) -> None:
-        arr = np.asarray(coeffs, dtype=np.uint64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("coefficient vector must be 1-D and nonempty")
-        self.p = p
-        self._c = arr % np.uint64(p)
-        self._c.flags.writeable = False
-
-    @classmethod
-    def constant(cls, p: int, value: int, D: int) -> "TruncPoly":
-        c = np.zeros(D + 1, dtype=np.uint64)
-        c[0] = value % p
-        return cls(p, c)
-
-    @classmethod
-    def zero(cls, p: int, D: int) -> "TruncPoly":
-        return cls(p, np.zeros(D + 1, dtype=np.uint64))
-
-    @property
-    def D(self) -> int:
-        return self._c.size - 1
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self._c
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncPoly):
-            return NotImplemented
-        return self.p == other.p and np.array_equal(self._c, other._c)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self._c.tobytes()))
-
-    def __repr__(self) -> str:
-        terms = [f"{int(c)}*u^{d}" for d, c in enumerate(self._c) if c]
-        return f"TruncPoly({' + '.join(terms) or '0'} mod u^{self.D + 1}, p={self.p})"
-
-    def is_zero(self) -> bool:
-        return not self._c.any()
-
-    # operator sugar over the module-level functions
-    def __add__(self, other):
-        return poly_add(self, other)
-
-    def __sub__(self, other):
-        return poly_sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return poly_scale(other, self)
-        return poly_mul(self, other)
-
-    __rmul__ = __mul__
-
-
-def _check(a: TruncPoly, b: TruncPoly) -> None:
-    if a.p != b.p or a.D != b.D:
-        raise ParamMismatch(f"(p={a.p}, D={a.D}) vs (p={b.p}, D={b.D})")
-
-
-def poly_add(a: TruncPoly, b: TruncPoly) -> TruncPoly:
-    _check(a, b)
-    return TruncPoly(a.p, add_mod(a.coeffs, b.coeffs, a.p))
-
-
-def poly_sub(a: TruncPoly, b: TruncPoly) -> TruncPoly:
-    _check(a, b)
-    return TruncPoly(a.p, sub_mod(a.coeffs, b.coeffs, a.p))
-
-
-def poly_scale(s: int, a: TruncPoly) -> TruncPoly:
-    return TruncPoly(a.p, mul_mod(a.coeffs, np.uint64(s % a.p), a.p))
-
-
-def poly_neg(a: TruncPoly) -> TruncPoly:
-    return TruncPoly(a.p, neg_mod(a.coeffs, a.p))
-
-
-def poly_mul(a: TruncPoly, b: TruncPoly) -> TruncPoly:
-    """Schoolbook truncated product on exact Python ints."""
-    _check(a, b)
-    p, x, y = a.p, a.coeffs.tolist(), b.coeffs.tolist()
-    out = [0] * len(x)
-    for s, xs in enumerate(x):
-        if xs:
-            for t in range(len(x) - s):
-                out[s + t] += xs * y[t]
-    return TruncPoly(p, [c % p for c in out])
-
-
-def poly_inv(a: TruncPoly) -> TruncPoly:
-    """Multiplicative inverse on exact Python ints, degree by degree.
-
-    From a x = 1: x_0 = a_0^-1 and x_d = -a_0^-1 sum_(t=1..d) a_t x_(d-t).
+    From C X = I, degree by degree: X_0 = I and
+    X_d = -sum_(t=1..d) C_t X_(d-t).  Each row of each X_s is packed
+    into one exact Python int, w bits per entry, wide enough for a sum
+    of k D products below p^2; so row i of the sum is one dot product
+    over (t, l) of the scalars C_t[i, l] with the packed rows X_(d-t)[l].
     """
-    p, c = a.p, a.coeffs.tolist()
-    if c[0] == 0:
-        raise NonUnit("constant coefficient is zero")
-    inv0 = pow(c[0], p - 2, p)
-    x = [inv0]
-    for d in range(1, len(c)):
-        x.append(-sum(c[t] * x[d - t] for t in range(1, d + 1)) * inv0 % p)
-    return TruncPoly(p, x)
-
+    k, _, dp1 = C.shape
+    D = dp1 - 1
+    if C[:, :, 0].tolist() != np.eye(k, dtype=int).tolist():
+        raise ValueError("the constant term of C must be the identity")
+    w = 2 * p.bit_length() + (k * D).bit_length()
+    mask = (1 << w) - 1
+    # down[i] lists C_t[i, l] for t = D down to 1, and l = 0..k-1 within each t
+    down = C[:, :, :0:-1].transpose(0, 2, 1).reshape(k, -1).tolist()
+    packed = [1 << (w * l) for l in range(k)]  # rows of X_0, X_1, ... in order
+    x = [[[int(i == j)] for j in range(k)] for i in range(k)]
+    for d in range(1, dp1):
+        # the slice starts at t = d and pairs C_t[i, l] with row l of X_(d-t)
+        sums = [sum(map(mul, c[k * (D - d):], packed)) for c in down]
+        for i, acc in enumerate(sums):
+            row = 0
+            for j in range(k):
+                x[i][j].append(-(acc >> (w * j) & mask) % p)
+                row |= x[i][j][d] << (w * j)
+            packed.append(row)
+    return np.array(x, dtype=np.uint64)

@@ -284,6 +284,8 @@ class RebuildSpanner:
     """
 
     def __init__(self, g: DynamicGraph, eps, seed: int, k: int | None = None) -> None:
+        # checks eps, and is fixed by (n, eps, k): reading it runs no construction
+        self.beta_certificate = beta_certificate(g.n, eps, k)
         self.g = g
         self.eps = eps
         self.seed = seed
@@ -291,11 +293,6 @@ class RebuildSpanner:
         self._counter = 0
         self._rebuilds = 0
         self._state: SpannerState | None = None
-
-    @property
-    def beta_certificate(self) -> int:
-        """Fixed by (n, eps, k), so reading it runs no construction."""
-        return beta_certificate(self.g.n, self.eps, self.k)
 
     def apply(self, ev) -> None:
         apply_update(self.g, ev)

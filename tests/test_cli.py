@@ -200,6 +200,18 @@ def test_degree_bound_below_one_is_a_usage_error(tmp_path, capsys, command, D):
     assert err == f"error: --D must be at least 1, got {D}\n"
 
 
+@pytest.mark.parametrize("structure", ["approx-apsp", "steiner"])
+def test_spanner_eps_is_checked_before_any_query(tmp_path, capsys, structure):
+    # every query lies within D, so no answer would read the spanner
+    script = tmp_path / "near.txt"
+    script.write_text("N 5 0\nE 0 1\nE 1 2\nE 2 3\nI 3 4\nQD 0 4\nQP 0 3\nD 1 2\nQD 0 1\n")
+    out = tmp_path / "out.csv"
+    argv = ["run", "--structure", structure, "--script", str(script), "--out", str(out)]
+    assert main(argv + ["--eps", "0", "--D", "8"]) == 2
+    assert capsys.readouterr().err == "error: need 0 < eps <= 1\n"
+    assert not out.exists()
+
+
 def test_structures_tuple_is_stable():
     assert STRUCTURES == (
         "exact-apsp",

@@ -11,22 +11,25 @@ from inverse_oracles import adjacency, arcs, identity, series_inverse
 from dynsp._kernels import min_degree_arr, poly_mat_mul, sub_mod
 from dynsp.graph import DynamicGraph, bfs_dist
 from dynsp.polymat import encode
-from dynsp.ring import FieldParams, TruncPoly, poly_add, poly_mul
+from dynsp.ring import FieldParams
 
 SMALL_P = 10007
 
 
 def naive_mat_mul(a, b):
-    """Entry by entry over TruncPoly: out[i, j] = sum_k a[i, k] b[k, j]."""
+    """Entry by entry on Python ints: out[i, j, d] = sum_(k, s + t = d)
+    a[i, k, s] b[k, j, t]."""
     D = a.shape[2] - 1
     out = np.zeros((a.shape[0], b.shape[1], D + 1), dtype=np.uint64)
     for i in range(a.shape[0]):
         for j in range(b.shape[1]):
-            acc = TruncPoly.zero(SMALL_P, D)
+            acc = [0] * (D + 1)
             for k in range(a.shape[1]):
-                x, y = TruncPoly(SMALL_P, a[i, k]), TruncPoly(SMALL_P, b[k, j])
-                acc = poly_add(acc, poly_mul(x, y))
-            out[i, j] = acc.coeffs
+                x, y = a[i, k].tolist(), b[k, j].tolist()
+                for s in range(D + 1):
+                    for t in range(D + 1 - s):
+                        acc[s + t] += x[s] * y[t]
+            out[i, j] = [c % SMALL_P for c in acc]
     return out
 
 
