@@ -48,7 +48,7 @@ from .polymat import EncodedAdjacency, encode
 from .reporter import BEYOND, NoWitnessFound, PathReporter
 from .ring import DEFAULT_PRIME, FieldParams, poly_inv
 from .spanner_alg import AlgSpannerState
-from .spanner_comb import REBUILD, RebuildSpanner, SpannerState, sp_rebuild_update
+from .spanner_comb import RebuildSpanner, SpannerState, sp_rebuild_update
 from .steiner import Disconnected, SteinerState, SteinerTree, TerminalStateError
 
 __version__ = "0.1.0"

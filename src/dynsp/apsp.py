@@ -244,6 +244,8 @@ class ApproxApsp:
         kappa: float = DEFAULT_KAPPA,
         spanner_k: int | None = None,
     ) -> None:
+        if not 0 < float(eps) <= 2:  # its default spanner runs at eps/2
+            raise ValueError("ApproxApsp needs 0 < eps <= 2")
         self.g = g
         self.eps = eps
         if spanner is None:

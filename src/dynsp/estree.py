@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 
-from .graph import DynamicGraph, bfs_dist_bounded
+from .graph import DynamicGraph, bfs_tree
 
 DECREMENTAL = "decremental"
 INCREMENTAL = "incremental"
@@ -35,36 +35,21 @@ class EsTree:
         self.root = root
         self.radius = radius
         self.mode = mode
-        self.level: dict[int, int] = {}
-        self.parent: dict[int, int | None] = {}
-        self.children: dict[int, set[int]] = {}
         self.dirty = False  # set when the tree shape changes (for H deltas)
         self._rebuild()
 
     def _rebuild(self) -> None:
-        self.level = bfs_dist_bounded(self.g, [self.root], self.radius)
-        self.parent = {self.root: None}
+        self.level, self.parent = bfs_tree(self.g, self.root, self.radius)
         self.children = {v: set() for v in self.level}
-        for v, lv in self.level.items():
-            if v == self.root:
-                continue
-            # deterministic parent: smallest in-neighbor one level up
-            par = min(w for w in self.g.radj[v] if self.level.get(w) == lv - 1)
-            self.parent[v] = par
-            self.children[par].add(v)
+        for v, par in self.parent.items():
+            if par is not None:
+                self.children[par].add(v)
 
     # ---- queries ----------------------------------------------------------
 
-    def ball(self) -> dict[int, int]:
-        return dict(self.level)
-
     def tree_edges(self) -> set[tuple[int, int]]:
         """Tree edges, normalized (min, max) for undirected comparison."""
-        out = set()
-        for v, par in self.parent.items():
-            if par is not None:
-                out.add((v, par) if v < par else (par, v))
-        return out
+        return {(v, p) if v < p else (p, v) for v, p in self.parent.items() if p is not None}
 
     # ---- updates ----------------------------------------------------------
 

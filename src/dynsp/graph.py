@@ -231,6 +231,18 @@ def bfs_dist_bounded(g: DynamicGraph, sources, radius: int) -> dict[int, int]:
     return dist
 
 
+def bfs_tree(g: DynamicGraph, root: int, radius: int) -> tuple[dict[int, int], dict]:
+    """The ball of the given hop radius around root, and a shortest-path
+    tree on it: (level, parent), where parent[v] is the smallest
+    in-neighbour of v one level closer to root, and None at the root."""
+    level = bfs_dist_bounded(g, [root], radius)
+    parent = {root: None}
+    for v, lv in level.items():
+        if v != root:
+            parent[v] = min(w for w in g.radj[v] if level.get(w) == lv - 1)
+    return level, parent
+
+
 def all_pairs_dist(g: DynamicGraph) -> list[list[float]]:
     return [bfs_dist(g, s) for s in range(g.n)]
 

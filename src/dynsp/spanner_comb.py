@@ -1,19 +1,12 @@
-"""Partially dynamic (1+eps, beta)-spanner via levels, balls, and blocks.
+"""(1+eps, beta)-spanners from levels, balls and blocks.
 
 Every vertex gets a level: A_0 = V and each higher level subsamples the
 one below so that membership in A_i has marginal probability
 min(1, n^(-i/k) * ln n).  A vertex a at level i is ACTIVE when no
 vertex of a higher level j sits within distance
-eps'^-(j+1) - eps'^-(i+1) of it (eps' = eps/8).  Each active vertex
-maintains an Even-Shiloach ball of radius ceil(eps'^-(i+1)); the
-spanner H is the union of the active balls' shortest-path tree edges,
-reference-counted because trees overlap.
-
-Blocks make activeness maintainable: an active high-level vertex
-"blocks" every in-threshold lower-level ball member, and revokes the
-block when the distance outgrows the threshold.  A vertex is active
-iff it holds no blocks.  Activeness is monotone per mode: deletions
-only activate, insertions only deactivate.
+eps'^-(j+1) - eps'^-(i+1) of it (eps' = eps/8).  The spanner H is the
+union of the shortest-path trees of the balls of radius
+ceil(eps'^-(i+1)) around the active vertices.
 
 The static construction evaluates the predicate without a BFS per
 vertex.  x at level i is blocked iff for some j > i the nearest level-j
@@ -22,12 +15,22 @@ all the level-j vertices at once, as deep as the largest such floor,
 decides every vertex that level j blocks: one BFS per level j >= 1, in
 O(n + m) each.  That pass, blocked_vertices, takes the graph, the levels
 and the floors, and the algebraic spanner (spanner_alg) decides its own
-activeness with it too.
+activeness with it too.  Then one bounded BFS tree (graph.bfs_tree) per
+active vertex gives H.
 
 The fully dynamic variant simply reruns the static construction after
 every update (sp_rebuild_update); RebuildSpanner wraps that with lazy
 evaluation so consumers that only look at H at query time skip
 untouched rebuilds.
+
+The partially dynamic variants (SpannerState, decremental or
+incremental) maintain each active ball as an Even-Shiloach tree, with
+H reference-counted because trees overlap.  Blocks make activeness
+maintainable: an active high-level vertex "blocks" every in-threshold
+lower-level ball member, and revokes the block when the distance
+outgrows the threshold.  A vertex is active iff it holds no blocks.
+Activeness is monotone per mode: deletions only activate, insertions
+only deactivate.
 
 All thresholds are exact rationals; ball radii take the ceiling.
 Distances are integers, and d <= thr exactly when d <= floor(thr), so
@@ -49,10 +52,9 @@ from .graph import (
     apply_update,
     bfs_dist,
     bfs_dist_bounded,
+    bfs_tree,
     graph_of,
 )
-
-REBUILD = "rebuild"
 
 
 def sample_levels(n: int, k: int, seed: int) -> list[int]:
@@ -89,6 +91,24 @@ def beta_certificate(n: int, eps, k: int | None = None) -> int:
     return 2 * math.ceil((Fraction(eps) / 8) ** -(k + 1))
 
 
+def level_tables(g: DynamicGraph, eps, seed: int, k: int | None = None) -> tuple:
+    """(k, beta, level, radii, floors): what a combinatorial spanner on g reads.
+
+    k is the top level, beta the certificate, level[v] the sampled level
+    of v, radii[i] the ball radius at level i and floors[j][i] the floor
+    of the threshold between a level-j blocker and a level-i blockee.
+    Checks eps and g first.
+    """
+    beta = beta_certificate(g.n, eps, k)
+    if g.directed:
+        raise ValueError("spanners are defined for undirected graphs")
+    k = default_k(g.n) if k is None else k
+    inv_pow = [(Fraction(eps) / 8) ** -(i + 1) for i in range(k + 1)]
+    radii = [min(g.n, math.ceil(x)) for x in inv_pow]
+    floors = [[math.floor(x - y) for y in inv_pow] for x in inv_pow]
+    return k, beta, sample_levels(g.n, k, derive_seed(seed, 0x5E)), radii, floors
+
+
 def blocked_vertices(g: DynamicGraph, level: list[int], floors) -> set[int]:
     """The vertices that some higher-level vertex lies within threshold of.
 
@@ -107,48 +127,25 @@ def blocked_vertices(g: DynamicGraph, level: list[int], floors) -> set[int]:
 
 
 class SpannerState:
-    def __init__(
-        self,
-        g: DynamicGraph,
-        eps,
-        seed: int,
-        mode: str = REBUILD,
-        k: int | None = None,
-    ) -> None:
-        self.beta_certificate = beta_certificate(g.n, eps, k)  # checks eps first
-        if mode not in (DECREMENTAL, INCREMENTAL, REBUILD):
+    """The decremental or incremental spanner: one Even-Shiloach tree per
+    active vertex, maintained under edge deletions or insertions."""
+
+    def __init__(self, g: DynamicGraph, eps, seed: int, mode: str, k: int | None = None) -> None:
+        tables = level_tables(g, eps, seed, k)  # checks eps and g first
+        if mode not in (DECREMENTAL, INCREMENTAL):
             raise ValueError(f"unknown mode {mode!r}")
-        if g.directed:
-            raise ValueError("spanners are defined for undirected graphs")
         self.g = g
         self.mode = mode
         self.eps = Fraction(eps)
-        self.eps_prime = self.eps / 8
-        n = g.n
-        self.k = k if k is not None else default_k(n)
-        self.seed = seed
-        # eps'^-(i+1) per level, and threshold(j, i) and its floor read
-        # from tables
-        inv_pow = [self.eps_prime ** -(i + 1) for i in range(self.k + 1)]
-        self._radii = [min(n, math.ceil(x)) for x in inv_pow]
-        self._thresholds = [[x - y for y in inv_pow] for x in inv_pow]
-        self._floors = [[math.floor(t) for t in row] for row in self._thresholds]
-        self.level = sample_levels(n, self.k, derive_seed(self.seed, 0x5E))
+        self.k, self.beta_certificate, self.level, self._radii, self._floors = tables
         self.active: dict[int, bool] = {}
         self.balls: dict[int, EsTree] = {}
         self.tree_edges: dict[int, set] = {}
-        self.blocks_of: dict[int, set[int]] = {v: set() for v in range(n)}
+        self.blocks_of: dict[int, set[int]] = {v: set() for v in range(g.n)}
         self.H: dict[tuple[int, int], int] = {}
         self._init_active()
 
     # ---- static construction ----------------------------------------------
-
-    def radius_for_level(self, i: int) -> int:
-        return self._radii[i]
-
-    def threshold(self, j: int, i: int) -> Fraction:
-        """Blocking threshold between a level-j blocker and level-i blockee."""
-        return self._thresholds[j][i]
 
     def recompute_active_from_scratch(self) -> dict[int, bool]:
         """The activeness predicate, from one bounded BFS per blocker level."""
@@ -157,10 +154,9 @@ class SpannerState:
 
     def _init_active(self) -> None:
         self.active = self.recompute_active_from_scratch()
-        tree_mode = DECREMENTAL if self.mode == REBUILD else self.mode
         for a, is_active in self.active.items():
             if is_active:
-                tree = EsTree(self.g, a, self.radius_for_level(self.level[a]), tree_mode)
+                tree = EsTree(self.g, a, self._radii[self.level[a]], self.mode)
                 self.balls[a] = tree
                 self._record_blocks(a, tree)
         for v in range(self.g.n):
@@ -204,8 +200,6 @@ class SpannerState:
             raise ModeViolation("decremental spanner got a non-deletion")
         if self.mode == INCREMENTAL and not isinstance(ev, InsertEdge):
             raise ModeViolation("incremental spanner got a non-insertion")
-        if self.mode == REBUILD:
-            raise ModeViolation("rebuild-mode states are immutable; use sp_rebuild_update")
         before = set(self.H)
         apply_update(self.g, ev)
         deleting = isinstance(ev, DeleteEdge)
@@ -253,7 +247,7 @@ class SpannerState:
             if self.blocks_of[v]:
                 continue
             self.active[v] = True
-            tree = EsTree(self.g, v, self.radius_for_level(self.level[v]), self.mode)
+            tree = EsTree(self.g, v, self._radii[self.level[v]], self.mode)
             self.balls[v] = tree
             tree.dirty = True
             self._record_blocks(v, tree)
@@ -270,9 +264,20 @@ class SpannerState:
             self._release_tree(v)
 
 
-def sp_rebuild_update(g, eps, seed, k=None) -> SpannerState:
-    """Fully dynamic variant: one static construction on the current graph."""
-    return SpannerState(g, eps, seed, REBUILD, k=k)
+def sp_rebuild_update(g, eps, seed, k=None) -> tuple[set[tuple[int, int]], int]:
+    """Fully dynamic variant: one static construction on the current graph.
+
+    Returns H, the union of the BFS trees of the active vertices, with
+    each edge as (min, max), and the number of trees.
+    """
+    _, _, level, radii, floors = level_tables(g, eps, seed, k)
+    blocked = blocked_vertices(g, level, floors)
+    roots = [a for a in range(g.n) if a not in blocked]
+    H = set()
+    for a in roots:
+        _, parent = bfs_tree(g, a, radii[level[a]])
+        H.update((v, p) if v < p else (p, v) for v, p in parent.items() if p is not None)
+    return H, len(roots)
 
 
 class RebuildSpanner:
@@ -292,34 +297,37 @@ class RebuildSpanner:
         self.k = k
         self._counter = 0
         self._rebuilds = 0
-        self._state: SpannerState | None = None
+        self._trees = 0
+        self._state: set[tuple[int, int]] | None = None
 
     def apply(self, ev) -> None:
         apply_update(self.g, ev)
         self._counter += 1
         self._state = None
 
-    def _ensure(self) -> SpannerState:
+    def _ensure(self) -> set[tuple[int, int]]:
         if self._state is None:
-            self._state = sp_rebuild_update(
+            self._state, trees = sp_rebuild_update(
                 self.g, self.eps, derive_seed(self.seed, self._counter), k=self.k
             )
             self._rebuilds += 1
+            self._trees += trees
         return self._state
 
     def stats(self) -> dict[str, int]:
         """Deterministic counters of the work done since construction.
 
-        updates counts applied edge events and rebuilds the static
-        constructions actually run: at most one per observed snapshot.
+        updates counts applied edge events, rebuilds the static
+        constructions actually run (at most one per observed snapshot)
+        and trees the BFS trees those constructions built.
         """
-        return {"updates": self._counter, "rebuilds": self._rebuilds}
+        return {"updates": self._counter, "rebuilds": self._rebuilds, "trees": self._trees}
 
     def edges(self) -> set:
-        return set(self._ensure().H)
+        return set(self._ensure())
 
     def subgraph(self) -> DynamicGraph:
-        return graph_of(self.g.n, self.edges())
+        return graph_of(self.g.n, self._ensure())
 
     def dist(self, u: int, v: int) -> float:
         """The distance from u to v in the current spanner."""

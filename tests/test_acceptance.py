@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from inverse_oracles import adjacency, identity, series_inverse
-from test_spanner_comb import brute_force_active, spanner_bfs_active
+from test_spanner_comb import brute_force_active
 from test_steiner import opt_steiner
 
 from dynsp._kernels import min_degree_arr, poly_mat_mul, sub_mod
@@ -328,7 +328,13 @@ def _check_comb_state(st, g):
     mask = np.isfinite(dg)
     assert (dh[mask] <= 2 * dg[mask] + 2 * math.ceil(8**3)).all()
     assert len(st.H) <= 8 * g.n**1.5 * math.log2(g.n) ** 2
-    assert st.active == spanner_bfs_active(st) == st.recompute_active_from_scratch()
+    # the predicate on dg: x is blocked iff some a has level[a] > level[x]
+    # and dg[a, x] <= floors[level[a]][level[x]]
+    level = np.array(st.level)
+    floor = np.array(st._floors)[level[:, None], level[None, :]]
+    blocked = ((level[:, None] > level[None, :]) & (dg <= floor)).any(axis=0)
+    predicate = {x: not b for x, b in enumerate(blocked.tolist())}
+    assert st.active == predicate == st.recompute_active_from_scratch()
 
 
 def test_05_combinatorial_spanner_decremental_and_incremental():

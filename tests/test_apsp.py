@@ -21,6 +21,7 @@ from dynsp.graph import (
     validate_path,
 )
 from dynsp.reporter import BEYOND
+from dynsp.spanner_comb import RebuildSpanner
 
 INF = math.inf
 
@@ -149,6 +150,21 @@ def test_default_degree_bound_absorbs_beta():
     assert aa.D == min(12, math.ceil(2 * aa.spanner.beta_certificate / 1))
     # beta is fixed by (n, eps, k): the set-up ran no spanner construction
     assert aa.stats()["spanner_rebuilds"] == 0
+
+
+@pytest.mark.parametrize("eps", [0, -1, 2.5, 7])
+def test_approx_checks_its_own_eps_with_or_without_a_spanner(eps):
+    g = path_graph(6)
+    with pytest.raises(ValueError, match=r"^ApproxApsp needs 0 < eps <= 2$"):
+        ApproxApsp(g.copy(), eps, spanner=RebuildSpanner(g.copy(), 0.5, 0), D=4)
+    with pytest.raises(ValueError, match=r"^ApproxApsp needs 0 < eps <= 2$"):
+        ApproxApsp(g.copy(), eps)
+
+
+def test_approx_takes_eps_up_to_2_as_its_default_spanner_runs_at_half():
+    g = path_graph(6)
+    aa = ApproxApsp(g.copy(), 2, D=4)
+    assert aa.spanner.eps == 1 and aa.approx_dist(0, 5) == 5  # 5 > D: read on the spanner
 
 
 def test_protocol_reads_agree_with_the_named_queries():

@@ -208,7 +208,7 @@ def test_spanner_eps_is_checked_before_any_query(tmp_path, capsys, structure):
     out = tmp_path / "out.csv"
     argv = ["run", "--structure", structure, "--script", str(script), "--out", str(out)]
     assert main(argv + ["--eps", "0", "--D", "8"]) == 2
-    assert capsys.readouterr().err == "error: need 0 < eps <= 1\n"
+    assert capsys.readouterr().err == "error: ApproxApsp needs 0 < eps <= 2\n"
     assert not out.exists()
 
 
@@ -344,7 +344,7 @@ STATS_KEYS = {
     "path-reporter": {"block_reads", "column_reads"},
     "spanner-alg": {"updates", "reporter_block_reads", "reporter_column_reads"},
     "approx-apsp": {"block_reads", "column_reads", "spanner_rows", "spanner_rebuilds"},
-    "spanner-comb": {"updates", "rebuilds"},
+    "spanner-comb": {"updates", "rebuilds", "trees"},
     "steiner": {"block_reads", "column_reads", "closure_reads", "spanner_rows", "spanner_rebuilds"},
 }
 

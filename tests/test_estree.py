@@ -83,10 +83,10 @@ def test_radius_truncates_the_ball():
     for v in range(5):
         g.insert_edge(v, v + 1)
     tree = EsTree(g, 0, radius=3, mode=DECREMENTAL)
-    assert tree.ball() == {0: 0, 1: 1, 2: 2, 3: 3}
+    assert tree.level == {0: 0, 1: 1, 2: 2, 3: 3}
     g.delete_edge(1, 2)
     tree.es_delete(1, 2)
-    assert tree.ball() == {0: 0, 1: 1}
+    assert tree.level == {0: 0, 1: 1}
 
 
 def test_tree_edges_normalized():
@@ -100,14 +100,14 @@ def test_tree_edges_normalized():
 def test_vertex_drops_and_returns_incrementally():
     g = DynamicGraph(4)
     tree = EsTree(g, 0, radius=2, mode=INCREMENTAL)
-    assert tree.ball() == {0: 0}
+    assert tree.level == {0: 0}
     g.insert_edge(0, 1)
     tree.es_insert(0, 1)
     g.insert_edge(1, 2)
     tree.es_insert(1, 2)
     g.insert_edge(2, 3)
     tree.es_insert(2, 3)  # vertex 3 is outside radius 2
-    assert tree.ball() == {0: 0, 1: 1, 2: 2}
+    assert tree.level == {0: 0, 1: 1, 2: 2}
     g.insert_edge(0, 3)
     tree.es_insert(0, 3)
-    assert tree.ball() == {0: 0, 1: 1, 2: 2, 3: 1}
+    assert tree.level == {0: 0, 1: 1, 2: 2, 3: 1}

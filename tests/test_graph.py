@@ -20,6 +20,7 @@ from dynsp.graph import (
     bfs_dist,
     bfs_dist_bounded,
     bfs_path,
+    bfs_tree,
     graph_of,
     parse_script,
     serialize_script,
@@ -176,3 +177,36 @@ def test_bfs_path_matches_a_bfs_on_a_reversed_copy(n, directed, arcs):
     for u in range(n):
         for v in range(n):
             assert bfs_path(g, u, v) == _bfs_path_on_a_reversed_copy(g, u, v), (u, v)
+
+
+def test_bfs_tree_takes_the_smallest_neighbour_one_level_closer():
+    g = graph_of(7, [(0, 2), (0, 1), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6)])
+    level, parent = bfs_tree(g, 0, 4)
+    assert level == {0: 0, 1: 1, 2: 1, 3: 2, 4: 3, 5: 4}
+    assert parent == {0: None, 1: 0, 2: 0, 3: 1, 4: 3, 5: 4}
+    assert bfs_tree(g, 6, 0) == ({6: 0}, {6: None})
+    # directed: the parent is an in-neighbour
+    d = graph_of(4, [(0, 2), (0, 1), (2, 3), (1, 3), (3, 0)], directed=True)
+    assert bfs_tree(d, 0, 3) == ({0: 0, 1: 1, 2: 1, 3: 2}, {0: None, 1: 0, 2: 0, 3: 1})
+
+
+@given(
+    n=st.integers(1, 16),
+    directed=st.booleans(),
+    arcs=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=60),
+    radius=st.integers(0, 6),
+)
+@settings(max_examples=80, deadline=None)
+def test_bfs_tree_is_the_bounded_ball_with_the_smallest_parents(n, directed, arcs, radius):
+    g = DynamicGraph(n, directed)
+    for a, b in arcs:
+        a, b = a % n, b % n
+        if a != b and not g.has_edge(a, b):
+            g.insert_edge(a, b)
+    dist = bfs_dist(g, 0)
+    level, parent = bfs_tree(g, 0, radius)
+    assert level == {v: d for v, d in enumerate(dist) if d <= radius}
+    assert parent.keys() == level.keys() and parent[0] is None
+    for v in level.keys() - {0}:
+        closer = [w for w in range(n) if g.has_edge(w, v) and dist[w] == dist[v] - 1]
+        assert parent[v] == min(closer)

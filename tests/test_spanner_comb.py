@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from dynsp import spanner_comb
 from dynsp._kernels import derive_seed
-from dynsp.estree import DECREMENTAL, INCREMENTAL, ModeViolation
+from dynsp.estree import DECREMENTAL, INCREMENTAL, EsTree, ModeViolation
 from dynsp.graph import (
     DeleteEdge,
     DynamicGraph,
@@ -20,9 +21,11 @@ from dynsp.graph import (
     graph_of,
 )
 from dynsp.spanner_comb import (
-    REBUILD,
     RebuildSpanner,
     SpannerState,
+    blocked_vertices,
+    default_k,
+    level_tables,
     sample_levels,
     sp_rebuild_update,
 )
@@ -78,6 +81,43 @@ def spanner_bfs_active(st: SpannerState) -> dict[int, bool]:
     return dict(enumerate(bfs_active(st.g, st.level, st._floors)))
 
 
+def estree_rebuild(g, eps, seed, k=None, activeness=None) -> tuple[set, int]:
+    """The static construction as SpannerState once ran it in a rebuild
+    mode (the reference for sp_rebuild_update): one EsTree per active
+    vertex, its blocks recorded from the ball and checked against the
+    predicate, and H the union of the trees' edges.  Returns H and the
+    number of balls.
+
+    The tables are derived here from the exact thresholds.
+    activeness(g, levels, floors) -> list[bool] decides the active
+    vertices; by default the activeness pass does.
+    """
+    k = default_k(g.n) if k is None else k
+    inv_pow = [(Fraction(eps) / 8) ** -(i + 1) for i in range(k + 1)]
+    radii = [min(g.n, math.ceil(x)) for x in inv_pow]
+    floors = [[math.floor(x - y) for y in inv_pow] for x in inv_pow]
+    levels = sample_levels(g.n, k, derive_seed(seed, 0x5E))
+    if activeness is None:
+        blocked = blocked_vertices(g, levels, floors)
+        active = [v not in blocked for v in range(g.n)]
+    else:
+        active = activeness(g, levels, floors)
+    blocks_of = [set() for _ in range(g.n)]
+    H, balls = set(), 0
+    for a in range(g.n):
+        if not active[a]:
+            continue
+        tree = EsTree(g, a, radii[levels[a]], DECREMENTAL)
+        j = levels[a]
+        for x, dx in tree.level.items():
+            if levels[x] < j and dx <= floors[j][levels[x]]:
+                blocks_of[x].add(a)
+        H |= tree.tree_edges()
+        balls += 1
+    assert all(active[v] == (not blocks_of[v]) for v in range(g.n)), "block invariant"
+    return H, balls
+
+
 def check_state(st: SpannerState):
     g = st.g
     for u, v in st.H:
@@ -129,9 +169,8 @@ def test_mode_violations():
     dec = SpannerState(g.copy(), eps=1, seed=0, mode=DECREMENTAL, k=1)
     with pytest.raises(ModeViolation):
         dec.sp_update(InsertEdge(0, 9))
-    reb = SpannerState(g.copy(), eps=1, seed=0, mode=REBUILD, k=1)
-    with pytest.raises(ModeViolation):
-        reb.sp_update(DeleteEdge(*sorted(g.edges())[0]))
+    with pytest.raises(ValueError, match="unknown mode"):
+        SpannerState(g.copy(), eps=1, seed=0, mode="rebuild", k=1)
 
 
 def test_parameter_domains():
@@ -148,22 +187,25 @@ def test_parameter_domains():
 
 
 def test_thresholds_are_exact_rationals():
-    g = DynamicGraph(8)
-    st = SpannerState(g, eps=1, seed=1, mode=DECREMENTAL, k=2)
-    assert st.eps_prime == Fraction(1, 8)
-    assert st.threshold(2, 0) == Fraction(512 - 8, 1)
-    assert st.beta_certificate == 2 * 8**3
-    assert st.radius_for_level(0) == 8  # capped at n
+    # eps = 1, so eps' = 1/8 and threshold(j, i) = 8^(j+1) - 8^(i+1)
+    k, beta, _, radii, floors = level_tables(DynamicGraph(8), 1, seed=1, k=2)
+    assert k == 2 and beta == 2 * 8**3
+    assert floors == [[0, -56, -504], [56, 0, -448], [504, 448, 0]]
+    assert radii == [8, 8, 8]  # capped at n
+    st = SpannerState(DynamicGraph(8), eps=1, seed=1, mode=DECREMENTAL, k=2)
+    assert (st.beta_certificate, st._radii, st._floors) == (beta, radii, floors)
 
 
 @pytest.mark.parametrize("eps", [1, Fraction(1, 2), Fraction(3, 4), 0.3])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_threshold_floors_agree_with_the_exact_thresholds(eps, k):
-    st = SpannerState(DynamicGraph(16), eps=eps, seed=1, mode=DECREMENTAL, k=k)
+    _, _, _, radii, floors = level_tables(DynamicGraph(16), eps, seed=1, k=k)
+    eps_prime = Fraction(eps) / 8
     for j in range(k + 1):
         for i in range(k + 1):
-            thr, floor = st.threshold(j, i), st._floors[j][i]
-            ds = set(range(st.radius_for_level(j) + 3)) | set(range(floor - 1, floor + 3))
+            thr = eps_prime ** -(j + 1) - eps_prime ** -(i + 1)
+            floor = floors[j][i]
+            ds = set(range(radii[j] + 3)) | set(range(floor - 1, floor + 3))
             for d in ds:
                 assert (d <= floor) == (Fraction(d) <= thr), (j, i, d)
 
@@ -171,15 +213,19 @@ def test_threshold_floors_agree_with_the_exact_thresholds(eps, k):
 def test_rebuild_provider_is_lazy_but_faithful():
     g, rng = random_graph(24, 50, seed=6)
     lazy = RebuildSpanner(g.copy(), 1, seed=7, k=2)
-    counter = 0
+    counter = balls = 0
     edges = sorted(g.edges())
     rng.shuffle(edges)
     for e in edges[:10]:
         lazy.apply(DeleteEdge(*e))
         g.delete_edge(*e)
         counter += 1
-        eager = sp_rebuild_update(g.copy(), 1, _same_seed(lazy, counter), k=2)
-        assert lazy.edges() == set(eager.H)
+        seed = derive_seed(lazy.seed, counter)
+        eager, trees = sp_rebuild_update(g.copy(), 1, seed, k=2)
+        H, active_balls = estree_rebuild(g, 1, seed, k=2)
+        assert lazy.edges() == eager == H and trees == active_balls
+        balls += active_balls
+    assert lazy.stats() == {"updates": 10, "rebuilds": 10, "trees": balls}
 
 
 @pytest.mark.parametrize("n", [1, 24, 300])
@@ -190,15 +236,9 @@ def test_reading_beta_runs_no_construction(n, eps, k):
     beta = sp.beta_certificate
     assert sp.stats()["rebuilds"] == 0
     # the value a construction on the same (n, eps, k) certifies
-    assert beta == SpannerState(DynamicGraph(n), eps, seed=3, k=k).beta_certificate
+    assert beta == SpannerState(DynamicGraph(n), eps, 3, DECREMENTAL, k=k).beta_certificate
     sp.edges()
     assert sp.stats()["rebuilds"] == 1 and sp.beta_certificate == beta
-
-
-def _same_seed(lazy: RebuildSpanner, counter: int) -> int:
-    from dynsp._kernels import derive_seed
-
-    return derive_seed(lazy.seed, counter)
 
 
 def test_tree_input_never_underestimates():
@@ -239,8 +279,8 @@ def test_shared_level_sampler_matches_the_per_spanner_copies(n, k):
     for seed in (0, 1, 7, 2**40 + 3):
         assert sample_levels(n, k, seed) == _nested_levels(n, k, seed)
     g, _ = random_graph(max(n, 2), min(max(n, 2) - 1, 30), seed=n + k)
-    comb = SpannerState(g.copy(), 1, seed=5, k=k)
-    assert comb.level == _nested_levels(g.n, k, derive_seed(5, 0x5E))
+    _, _, comb_level, _, _ = level_tables(g, 1, seed=5, k=k)
+    assert comb_level == _nested_levels(g.n, k, derive_seed(5, 0x5E))
     alg = AlgSpannerState(g.copy(), 1, kappa=0.5, seed=5, k=k, b=3)
     assert alg.level == _nested_levels(g.n, k, derive_seed(5, 0x6A, 0))
 
@@ -255,6 +295,77 @@ def test_rebuild_spanner_distances_are_bfs_on_its_edges():
         for _ in range(10):
             u, v = rng.sample(range(20), 2)
             assert sp.dist(u, v) == h[u][v]
+
+
+# ---- the BFS-tree construction against the EsTree-based one -------------------
+
+
+def with_chords(n, edges, chords, seed):
+    """The graph on [0, n) with the given edges and that many random chords."""
+    rng = random.Random(seed)
+    edges = set(edges)
+    target = len(edges) + chords
+    while len(edges) < target:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return graph_of(n, edges), rng
+
+
+def grid_with_chords(side, chords, seed):
+    edges = {(v, v + 1) for v in range(side * side) if (v + 1) % side}
+    edges |= {(v, v + side) for v in range(side * (side - 1))}
+    return with_chords(side * side, edges, chords, seed)
+
+
+FAMILIES = {
+    # the steiner-grid benchmark's spanner shape
+    "grid": lambda seed: grid_with_chords(8, 6, seed),
+    # longer than the level-1 floor (56) and the level-0 radius (8) at
+    # eps = 1, so some blocks and balls stop short of a component
+    "path": lambda seed: with_chords(240, {(v, v + 1) for v in range(239)}, 2, seed),
+    "gnp": lambda seed: random_graph(48, 110, seed),
+}
+
+
+def mixed_stream(g, rng, steps):
+    """Alternately delete a present edge and insert an absent one, in place."""
+    for step in range(steps):
+        if step % 2 == 0 and g.edge_count:
+            g.delete_edge(*rng.choice(sorted(g.edges())))
+        else:
+            while g.has_edge(*(e := rng.sample(range(g.n), 2))):
+                pass
+            g.insert_edge(*e)
+        yield step
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("eps", [Fraction(1, 4), Fraction(1, 2), 1])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bfs_trees_equal_the_estree_construction_after_every_update(family, eps, k):
+    g, rng = FAMILIES[family](k)
+    most_balls = 0
+    for step in mixed_stream(g, rng, 16):
+        seed = derive_seed(k, step)
+        H, trees = sp_rebuild_update(g, eps, seed, k=k)
+        assert (H, trees) == estree_rebuild(g, eps, seed, k=k), step
+        most_balls = max(most_balls, trees)
+    if (family, eps, k) == ("grid", Fraction(1, 4), 3):
+        assert most_balls >= 3
+
+
+def test_the_static_construction_builds_no_es_tree(monkeypatch):
+    def no_tree(*args):
+        raise AssertionError("an EsTree was built")
+
+    g, rng = grid_with_chords(8, 6, seed=3)
+    want = estree_rebuild(g, Fraction(1, 4), seed=5, k=3)
+    monkeypatch.setattr(spanner_comb, "EsTree", no_tree)
+    assert sp_rebuild_update(g, Fraction(1, 4), seed=5, k=3) == want
+    sp = RebuildSpanner(g.copy(), Fraction(1, 4), seed=5, k=3)
+    sp.apply(DeleteEdge(*sorted(g.edges())[0]))
+    assert sp.edges() and sp.stats()["trees"] > 0
+    with pytest.raises(AssertionError, match="EsTree"):  # the patch does bite
+        SpannerState(g, Fraction(1, 4), seed=5, mode=DECREMENTAL, k=3)
 
 
 # ---- the activeness pass against one BFS per vertex ----------------------------
@@ -292,7 +403,7 @@ def leveled_graphs(draw):
 )
 def test_budgeted_activeness_equals_one_bfs_per_vertex(case, seed):
     g, k, eps, levels, floors = case
-    st = SpannerState(g, eps=eps, seed=seed, k=k)
+    st = SpannerState(g, eps=eps, seed=seed, mode=DECREMENTAL, k=k)
     assert st.active == spanner_bfs_active(st) == st.recompute_active_from_scratch()
     st.level = levels
     assert st.recompute_active_from_scratch() == spanner_bfs_active(st)
@@ -304,7 +415,8 @@ def test_budgeted_activeness_equals_one_bfs_per_vertex(case, seed):
 def test_budgeted_activeness_on_a_path_stops_at_the_floor():
     # eps = 1, k = 1: floors[1][0] = 64 - 8 = 56, so on an 80-path the
     # level-1 end blocks exactly vertices 1..56
-    st = SpannerState(graph_of(80, [(v, v + 1) for v in range(79)]), eps=1, seed=0, k=1)
+    path = graph_of(80, [(v, v + 1) for v in range(79)])
+    st = SpannerState(path, eps=1, seed=0, mode=DECREMENTAL, k=1)
     st.level = [1] + [0] * 79
     active = st.recompute_active_from_scratch()
     assert [v for v in range(80) if not active[v]] == list(range(1, 57))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from test_apsp import PerPairPaths, path_graph
-from test_spanner_comb import spanner_bfs_active
+from test_spanner_comb import bfs_active, estree_rebuild
 
 from dynsp._kernels import derive_seed
 from dynsp.apsp import ApproxApsp
@@ -22,7 +22,7 @@ from dynsp.graph import (
     apply_update,
     bfs_dist,
 )
-from dynsp.spanner_comb import REBUILD, RebuildSpanner, SpannerState
+from dynsp.spanner_comb import RebuildSpanner
 from dynsp.steiner import (
     Disconnected,
     SteinerState,
@@ -259,19 +259,15 @@ def test_block_closure_and_tree_equal_the_per_pair_closure(seed):
 # ---- the batched expansion against one path read per MST edge ----------------
 
 
-class _BfsActiveState(SpannerState):
-    def recompute_active_from_scratch(self):
-        return spanner_bfs_active(self)
-
-
 class _BfsActiveSpanner(RebuildSpanner):
-    """RebuildSpanner whose constructions decide activeness with one BFS
-    per vertex (the reference for the activeness pass, one BFS per level)."""
+    """RebuildSpanner whose constructions are the EsTree-based reference,
+    deciding activeness with one BFS per vertex (the reference for the
+    activeness pass, one BFS per level, and for the BFS trees)."""
 
     def _ensure(self):
         if self._state is None:
             seed = derive_seed(self.seed, self._counter)
-            self._state = _BfsActiveState(self.g, self.eps, seed, REBUILD, k=self.k)
+            self._state, _ = estree_rebuild(self.g, self.eps, seed, self.k, bfs_active)
         return self._state
 
 
