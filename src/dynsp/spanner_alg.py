@@ -15,7 +15,12 @@ What an update maintains and what it recomputes:
   sorted order, so deleting an edge it does not keep changes nothing,
   an insertion that one bounded search through the kept edges before
   it spans changes nothing, and any other update reruns the greedy
-  from that edge's position onwards.
+  from that edge's position onwards.  Each dropped edge keeps, as its
+  certificate, the path of at most `stretch` kept edges that last
+  spanned it; those edges all sort before it.  A rerun that finds every
+  edge of that path still kept leaves the edge dropped without a
+  search, exactly as the greedy would, and searches only where the
+  certificate broke or none is stored yet (set-up stores none).
 - Activeness depends only on G~ and the levels, so the deactivation
   pass reruns only when G~ changed or the levels were resampled.  It is
   the combinatorial spanner's pass (spanner_comb.blocked_vertices) on
@@ -66,31 +71,28 @@ from .spanner_comb import blocked_vertices, default_k, sample_levels
 
 def greedy_spanner(g: DynamicGraph, stretch: int) -> set[tuple[int, int]]:
     """Greedy multiplicative spanner: keep (u,v) unless already spanned."""
+    h = DynamicGraph(g.n, directed=False)
     kept: set[tuple[int, int]] = set()
-    _greedy_scan(DynamicGraph(g.n, directed=False), kept, sorted(g.edges()), stretch)
-    return kept
-
-
-def _greedy_scan(h: DynamicGraph, kept: set, edges, stretch: int) -> None:
-    """The greedy over `edges` in order, on top of the kept edges in h.
-
-    An edge is kept, into both h and `kept`, unless h already joins its
-    ends within `stretch` hops.
-    """
-    for u, v in edges:
+    for u, v in sorted(g.edges()):
         if not _within(h, u, v, stretch):
             h.insert_edge(u, v)
             kept.add((u, v))
+    return kept
 
 
-def _within(h: DynamicGraph, s: int, t: int, radius: int, below=None) -> bool:
+def _within(
+    h: DynamicGraph, s: int, t: int, radius: int, below=None, path=False
+) -> bool | tuple[int, ...]:
     """Whether t is at most `radius` hops from s in h.
 
     With `below`, only the edges of h that sort before it count.  The
     search grows one BFS layer at a time from whichever end has the
-    smaller frontier, and stops when the two sides meet.
+    smaller frontier, and stops when the two sides meet.  With `path`,
+    a hit returns the path it met on, as a tuple of the vertices from
+    one end to the other, in place of True.
     """
-    seen = ({s}, {t})
+    # each side maps the vertices it reached to their parents
+    seen = ({s: None}, {t: None})
     frontier = [[s], [t]]
     for _ in range(radius):
         side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
@@ -101,8 +103,10 @@ def _within(h: DynamicGraph, s: int, t: int, radius: int, below=None) -> bool:
                 if y in mine or (below is not None and ((x, y) if x < y else (y, x)) >= below):
                     continue
                 if y in other:
-                    return True
-                mine.add(y)
+                    if not path:
+                        return True
+                    return tuple(_to_root(mine, x)[::-1] + _to_root(other, y))
+                mine[y] = x
                 nxt.append(y)
         if not nxt:
             return False
@@ -110,7 +114,35 @@ def _within(h: DynamicGraph, s: int, t: int, radius: int, below=None) -> bool:
     return False
 
 
+def _is_path(h: DynamicGraph, path: tuple[int, ...]) -> bool:
+    """Whether every hop of the vertex tuple `path` is an edge of h."""
+    return all(map(set.__contains__, map(h.adj.__getitem__, path), path[1:]))
+
+
+def _to_root(parent: dict, v: int) -> list[int]:
+    """v, its parent, and so on up to the vertex a search started from."""
+    out = []
+    while v is not None:
+        out.append(v)
+        v = parent[v]
+    return out
+
+
 class AlgSpannerState:
+    """The dynamic algebraic spanner H over the undirected graph g.
+
+    k is the top level and b the distance scale; k, b >= 1, and each
+    defaults from n and eps as in the paper.  Small graphs make most of
+    the construction degenerate.  At n = 128, k = 2, b = 5 (log2 n = 7):
+    - the path core's depth is ceil(125/56) = 3;
+    - the pair thresholds are 5/56, 25/56 and 125/56: levels 0 and 1
+      are below one hop and pair nothing, and level 2 (algebraic, since
+      gamma = 1) pairs active vertices within 2 hops;
+    - the helper's stretch is 13, so on G(128, 512) G~ is a spanning
+      forest plus one or two edges;
+    - reinit_threshold is about 4 * 10^6, above any H on 128 vertices.
+    """
+
     def __init__(
         self,
         g: DynamicGraph,
@@ -126,6 +158,9 @@ class AlgSpannerState:
             raise ValueError("need 0 < kappa <= 0.529")
         if g.directed:
             raise ValueError("spanners are defined for undirected graphs")
+        for name, value in (("k", k), ("b", b)):
+            if value is not None and value < 1:
+                raise ValueError(f"need {name} >= 1, got {name} = {value}")
         self.g = g
         self.eps = Fraction(eps)
         self.kappa = kappa
@@ -157,6 +192,8 @@ class AlgSpannerState:
                 "helper_bfs_settled",
                 "suffix_reruns",
                 "suffix_edges_scanned",
+                "stored_path_settled",
+                "suffix_searches",
                 "deactivation_passes",
             ),
             0,
@@ -169,9 +206,16 @@ class AlgSpannerState:
     # ---- (re)initialization -----------------------------------------------
 
     def _init_helper(self) -> None:
-        """G~ from scratch, and its graph."""
+        """G~ from scratch, and its graph.
+
+        No dropped edge has a stored path yet: each gets one the first
+        time a rerun or an insertion's search finds it spanned.
+        """
         self.helper = greedy_spanner(self.g, self.helper_stretch)
         self._helper_g = graph_of(self.g.n, self.helper)
+        # dropped edge of G -> the vertices of a path of at most
+        # helper_stretch hops that spanned it when it was last dropped
+        self._spanned_by: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def _init_everything(self) -> None:
         self._resample()
@@ -205,25 +249,50 @@ class AlgSpannerState:
         """Bring G~ up to date with ev, applied to g; True when it changed."""
         e = (min(ev.u, ev.v), max(ev.u, ev.v))
         if isinstance(ev, InsertEdge):
-            if _within(self._helper_g, e[0], e[1], self.helper_stretch, below=e):
+            path = _within(self._helper_g, *e, self.helper_stretch, below=e, path=True)
+            if path:
+                self._spanned_by[e] = path
                 self._counts["helper_bfs_settled"] += 1
                 return False
         elif e not in self.helper:
+            self._spanned_by.pop(e, None)
             self._counts["helper_untouched"] += 1
             return False
         self._rescan_from(e)
         return True
 
     def _rescan_from(self, e: tuple[int, int]) -> None:
-        """Rerun the greedy from e's position: the kept edges before it stay."""
-        dropped = {f for f in self.helper if f >= e}
-        self.helper -= dropped
+        """Rerun the greedy from e's position: the kept edges before it stay.
+
+        A rescanned edge whose stored path is wholly kept stays dropped
+        without a search: the path was found when only the edges before
+        it counted, so it lies in the kept edges before it, and the
+        greedy would drop it too.  Any other edge is decided by a search,
+        whose path is stored when it drops the edge.
+        """
+        h, kept, spanned_by = self._helper_g, self.helper, self._spanned_by
+        dropped = {f for f in kept if f >= e}
+        kept -= dropped
         for f in dropped:
-            self._helper_g.delete_edge(*f)
+            h.delete_edge(*f)
         suffix = sorted(f for f in self.g.edges() if f >= e)
-        _greedy_scan(self._helper_g, self.helper, suffix, self.helper_stretch)
+        settled = 0
+        for f in suffix:
+            path = spanned_by.get(f)
+            if path is not None and _is_path(h, path):
+                settled += 1
+                continue
+            path = _within(h, *f, self.helper_stretch, path=True)
+            if path:
+                spanned_by[f] = path
+            else:
+                spanned_by.pop(f, None)
+                h.insert_edge(*f)
+                kept.add(f)
         self._counts["suffix_reruns"] += 1
         self._counts["suffix_edges_scanned"] += len(suffix)
+        self._counts["stored_path_settled"] += settled
+        self._counts["suffix_searches"] += len(suffix) - settled
 
     # ---- per-update rebuild ------------------------------------------------
 
@@ -325,7 +394,9 @@ class AlgSpannerState:
         Every update is exactly one of helper_untouched (a deleted edge
         that G~ did not keep), helper_bfs_settled (an inserted edge that
         one search showed G~ does not need) and suffix_reruns;
-        suffix_edges_scanned sums the edges those reruns rescanned.  The
+        suffix_edges_scanned sums the edges those reruns rescanned, each
+        either stored_path_settled (kept dropped by its stored path) or
+        one of suffix_searches (decided by a search).  The
         path core's read counters follow under a reporter_ prefix,
         summed over every path core since construction.
         """

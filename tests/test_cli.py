@@ -212,6 +212,18 @@ def test_spanner_eps_is_checked_before_any_query(tmp_path, capsys, structure):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option", ["--k", "--b"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_spanner_alg_levels_and_scale_below_one_are_usage_errors(tmp_path, capsys, option, value):
+    script = gen_random(tmp_path)
+    out = tmp_path / "out.csv"
+    argv = ["run", "--structure", "spanner-alg", "--script", str(script), option, value]
+    assert main(argv + ["--out", str(out)]) == 2
+    name = option[2:]
+    assert capsys.readouterr().err == f"error: need {name} >= 1, got {name} = {value}\n"
+    assert not out.exists()
+
+
 def test_structures_tuple_is_stable():
     assert STRUCTURES == (
         "exact-apsp",

@@ -142,6 +142,10 @@ def test_parameter_domains():
         AlgSpannerState(g, eps=1, kappa=0.7, seed=0)
     with pytest.raises(ValueError):
         AlgSpannerState(DynamicGraph(6, directed=True), eps=1, kappa=0.5, seed=0)
+    for name in ("k", "b"):
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=f"need {name} >= 1, got {name} = {value}"):
+                AlgSpannerState(g, eps=1, kappa=0.5, seed=0, **{name: value})
 
 
 def test_edgeless_graph_has_empty_spanner():
@@ -549,6 +553,12 @@ def test_stats_repeat_exactly_on_one_seed():
     assert first["suffix_reruns"] > 0 and first["helper_untouched"] > 0
     assert first["helper_bfs_settled"] > 0
     assert first["reinits"] == first["fallback_pairs"] == 0
+    # every rescanned edge was settled by its stored path or searched
+    assert (
+        first["stored_path_settled"] + first["suffix_searches"]
+        == first["suffix_edges_scanned"]
+    )
+    assert first["stored_path_settled"] > 0
 
 
 def _path_from_one(n):
@@ -575,6 +585,59 @@ def test_inserting_an_edge_before_every_kept_edge_rescans_all():
     assert stats["suffix_reruns"] == 2
     assert stats["suffix_edges_scanned"] == 8 + 8
     assert (0, 1) in st.helper
+
+
+def _hops(path):
+    """The edges of a vertex path, each as (min, max)."""
+    return {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
+
+
+def test_stored_paths_belong_to_dropped_edges_and_span_them():
+    g, rng = random_graph(40, 120, seed=15)
+    st = AlgSpannerState(g.copy(), eps=1, kappa=0.5, seed=16, k=2, b=4)
+    for ev in mixed_events(g, rng, 60):
+        st.alg_update(ev)
+        assert st._spanned_by.keys() <= set(st.g.edges()) - st.helper
+        for (u, v), path in st._spanned_by.items():
+            assert {path[0], path[-1]} == {u, v} and len(set(path)) == len(path)
+            assert 2 <= len(path) <= st.helper_stretch + 1
+            assert all(e < (u, v) and st.g.has_edge(*e) for e in _hops(path))
+    stats = st.stats()
+    assert stats["stored_path_settled"] > 0 and len(st._spanned_by) > 0
+
+
+def test_a_broken_stored_path_is_searched_again():
+    # K4 on the stretch-3 helper of 4 vertices: inserting (0, 1), the
+    # first edge, reruns the greedy over every edge and stores the paths
+    # 1-0-2, 1-0-3 and 2-0-3 of the three dropped edges
+    g = graph_of(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    params = dict(eps=1, kappa=0.5, seed=1, k=1, b=2)
+    st = AlgSpannerState(g.copy(), **params)
+    ref = _FullRebuild(g.copy(), **params)
+    assert st.helper_stretch == 3 and st._spanned_by == {}
+    st.alg_update(InsertEdge(0, 1))
+    ref.alg_update(InsertEdge(0, 1))
+    assert_matches_full_rebuild(st, ref)
+    assert st.helper == {(0, 1), (0, 2), (0, 3)}
+    assert {f: _hops(p) for f, p in st._spanned_by.items()} == {
+        (1, 2): {(0, 1), (0, 2)},
+        (1, 3): {(0, 1), (0, 3)},
+        (2, 3): {(0, 2), (0, 3)},
+    }
+    before = st.stats()
+    # deleting the kept (0, 1) breaks the paths of (1, 2) and (1, 3):
+    # (1, 2) becomes kept, (1, 3) is dropped on the new path 1-2-0-3,
+    # and (2, 3) stays dropped on its stored path without a search
+    st.alg_update(DeleteEdge(0, 1))
+    ref.alg_update(DeleteEdge(0, 1))
+    assert_matches_full_rebuild(st, ref)
+    assert st.helper == {(0, 2), (0, 3), (1, 2)}
+    assert set(st._spanned_by) == {(1, 3), (2, 3)}
+    assert _hops(st._spanned_by[(1, 3)]) == {(1, 2), (0, 2), (0, 3)}
+    after = st.stats()
+    assert after["suffix_edges_scanned"] - before["suffix_edges_scanned"] == 5
+    assert after["stored_path_settled"] - before["stored_path_settled"] == 1
+    assert after["suffix_searches"] - before["suffix_searches"] == 4
 
 
 def test_deleting_a_kept_edge_and_reinserting_it_restores_the_helper():
