@@ -33,22 +33,36 @@ Toeplitz layout.  A truncated product of polynomials is a contraction
 too.  A polynomial b becomes the (D+1) x (D+1) Toeplitz matrix whose
 entry (s, d) is b's coefficient of degree d - s, zero when d < s; a
 row vector of a's coefficients times it is a b mod u^(D+1).  So
-conv_trunc is one limb product, and poly_mat_mul is one modular matmul
-of contraction length K (D+1): the operand with fewer outer entries is
-laid out in block-Toeplitz form, with entry ((k, s), (y, d)) holding
-its coefficient of degree d - s, and the other operand is flattened
-to columns (k, s).  The Toeplitz zeros are multiplied too, so this
-takes up to twice the flops of one matmul per output degree, but it
-replaces D + 1 modular matmuls, each with its own fold, by one.
+conv_trunc is one limb product.  poly_mat_mul of (n, K, D+1) by
+(K, m, D+1) with n >= m (else it multiplies the transposes) takes
+this layout when b fits in one Toeplitz block (see the entry budget):
+one modular matmul of contraction length K (D+1), a flattened to
+columns (k, s) against b laid out with entry ((k, s), (y, d)) holding
+its coefficient of degree d - s.  It multiplies the Toeplitz zeros,
+up to twice the flops of one matmul per output degree, but one call
+and one fold cost less than D + 1 of each at these sizes: every read
+of the inverse in the benchmark's workloads is one block.
 conv_trunc has no caller in this package; it is kept as the tests'
 batched reference for truncated products.
 
-Entry budget.  The block-Toeplitz operand is D + 1 times larger than
-its source, and its float limbs three times more.  poly_mat_mul builds
-it a few outer entries at a time: a block's Toeplitz rows and its
-output rows, each times its columns, stay within _EXPAND_BUDGET
-entries, so the extra memory of one call does not grow with the size
-of the expanded operand.
+Degree-major layout.  A product too large for one Toeplitz block (the
+inverse's reset T(I+N), the H x H view correction) is contracted
+degree by degree.  a's limbs are laid out with columns (t, k), degree
+first, and b's with rows (D - t, k), degrees reversed, each split once
+per call.  Output degree d is then a column prefix of a, of length
+(d + 1) K, against a row suffix of b: slices, so nothing is copied and
+no Toeplitz zero is multiplied.  The limb partials are folded over
+blocks of whole output degrees; a contraction longer than 2048 is
+folded chunk by chunk and the chunks added mod p.
+
+Entry budget.  A Toeplitz block of g outer entries has K (D+1) rows
+and g (D+1) columns, and its output n g (D+1) entries; b fits in one
+block when both stay within _EXPAND_BUDGET entries for g = m, or when
+m = 1.  The degree-major path keeps the limbs of both operands, up to
+three times their size, and folds g output degrees at a time, with
+g n m <= max(_EXPAND_BUDGET, n m) entries in each of its four fold
+buffers.  So the extra memory of one call is a few times the operands
+and the output, and does not grow with a Toeplitz expansion.
 """
 from __future__ import annotations
 
@@ -60,7 +74,7 @@ MERSENNE61 = (1 << 61) - 1
 _LIMB_BITS = 21
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 _CHUNK = 2048  # max contraction length for exact float64 limb products
-_EXPAND_BUDGET = 1 << 14  # Toeplitz (and output) entries of one poly_mat_mul block
+_EXPAND_BUDGET = 1 << 14  # entries of one Toeplitz block, or of one degree-major fold
 
 
 def supported_prime(p: int) -> bool:
@@ -128,19 +142,16 @@ def _limbs_f64(a, count: int):
     return out
 
 
-def _mat_mul_limbs(af, bf, p):
-    """Exact (A @ B) mod p from limb stacks (L, ..., n, K) and (L, ..., K, m).
+def _fold_limbs(partial, shape, count, p):
+    """Exact sum_(i,j) P_ij 2^(21 (i + j)) mod p, as a uint64 array of shape.
 
-    K <= 2048, and leading axes broadcast as in np.matmul.  Each limb
-    partial A_i @ B_j is an exact integer below 2^53; it is added, as
+    partial(i, j, out) writes the limb partial P_ij, a float64 array of
+    exact integers below 2^53, into out.  Each partial is added, as
     uint64, into the group of its shift 21 (i + j).  At most three
     partials share a group, so every group sum stays below 2^55.  Each
     group is folded into the result as soon as it is complete, highest
-    shift first, so four output-sized buffers are live at a time.
+    shift first, so four buffers of shape are live at a time.
     """
-    count = af.shape[0]
-    lead = np.broadcast_shapes(af.shape[1:-2], bf.shape[1:-2])
-    shape = lead + (af.shape[-2], bf.shape[-1])
     part = np.empty(shape)
     group = np.empty(shape, dtype=np.uint64)
     tmp = np.empty(shape, dtype=np.uint64)
@@ -149,7 +160,7 @@ def _mat_mul_limbs(af, bf, p):
     for s in range(2 * count - 2, -1, -1):
         first = max(0, s - count + 1)
         for i in range(first, min(s, count - 1) + 1):
-            np.matmul(af[i], bf[s - i], out=part)
+            partial(i, s - i, part)
             if i == first:
                 np.copyto(group, part, casting="unsafe")
             else:
@@ -178,6 +189,18 @@ def _mat_mul_limbs(af, bf, p):
         acc += tmp
         acc &= m
     return acc
+
+
+def _mat_mul_limbs(af, bf, p):
+    """Exact (A @ B) mod p from limb stacks (L, ..., n, K) and (L, ..., K, m).
+
+    K <= 2048, and leading axes broadcast as in np.matmul.
+    """
+    lead = np.broadcast_shapes(af.shape[1:-2], bf.shape[1:-2])
+    shape = lead + (af.shape[-2], bf.shape[-1])
+    return _fold_limbs(
+        lambda i, j, out: np.matmul(af[i], bf[j], out=out), shape, af.shape[0], p
+    )
 
 
 def _mat_mul_chunked(af, bf, p):
@@ -247,15 +270,27 @@ def conv_trunc(a, b, p):
     return _mat_mul_chunked(row, _limbs_f64(_toeplitz(b), count), p)[..., 0, :]
 
 
+def _fits_one_block(n, k, m, dp1):
+    """Whether poly_mat_mul of (n, k, dp1) by (k, m, dp1) is one Toeplitz block.
+
+    After the transpose that makes n >= m, a block of outer entries
+    keeps its Toeplitz rows and its n output rows, each times its D+1
+    columns, within _EXPAND_BUDGET entries; one outer entry always fits.
+    """
+    n, m = max(n, m), min(n, m)
+    return m <= max(1, _EXPAND_BUDGET // (max(k * dp1, n) * dp1))
+
+
 def poly_mat_mul(a, b, p):
-    """Truncated-polynomial matrix product as one modular matmul.
+    """Truncated-polynomial matrix product.
 
     a: (n, K, D+1), b: (K, m, D+1) -> (n, m, D+1), where
     out[x, y, d] = sum_k sum_(t <= d) a[x, k, t] * b[k, y, d - t].
-    The operand with fewer outer entries is expanded to block-Toeplitz
-    form a few outer entries at a time, within _EXPAND_BUDGET entries;
-    each block is one mat_mul_mod against the other operand, flattened
-    and split into limbs once per call.
+    A product that fits in one Toeplitz block (_fits_one_block) is one
+    mat_mul_mod of a, flattened to columns (k, s), against b in
+    block-Toeplitz form, or of b's transpose against a's when n < m.
+    A larger one is contracted degree by degree (_poly_mat_mul_by_degree),
+    with no Toeplitz zeros.
     """
     n, k, dp1 = a.shape
     m = b.shape[1]
@@ -265,20 +300,46 @@ def poly_mat_mul(a, b, p):
         # the ring is commutative, so a b = (b^T a^T)^T: expand a instead
         out = poly_mat_mul(b.transpose(1, 0, 2), a.transpose(1, 0, 2), p)
         return np.ascontiguousarray(out.transpose(1, 0, 2))
-    out = np.empty((n, m, dp1), dtype=np.uint64)
     if m == 0:
-        return out
-    a_flat = a.reshape(n, k * dp1)                      # columns (k, s)
-    a_limbs = _limbs_f64(a_flat, _limb_count(p))        # split once for all blocks
-    flat = out.reshape(n, m * dp1)                      # columns (y, d)
-    # outer entries per block: its Toeplitz rows and its n output rows,
-    # each times its D+1 columns, stay within the budget
-    step = max(1, _EXPAND_BUDGET // (max(k * dp1, n) * dp1))
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        block = _toeplitz(b[:, lo:hi]).transpose(0, 2, 1, 3)   # (k, s, y, d)
-        block = block.reshape(k * dp1, (hi - lo) * dp1)
-        flat[:, lo * dp1 : hi * dp1] = mat_mul_mod(a_flat, block, p, a_limbs)
+        return np.empty((n, m, dp1), dtype=np.uint64)
+    if not _fits_one_block(n, k, m, dp1):
+        return _poly_mat_mul_by_degree(a, b, p)
+    block = _toeplitz(b).transpose(0, 2, 1, 3).reshape(k * dp1, m * dp1)  # (k, s) x (y, d)
+    return mat_mul_mod(a.reshape(n, k * dp1), block, p).reshape(n, m, dp1)
+
+
+def _poly_mat_mul_by_degree(a, b, p):
+    """poly_mat_mul as one contraction per output degree, for n >= m >= 1.
+
+    a's limbs have columns (t, k), degree first, and b's limbs rows
+    (D - t, k), degrees reversed, so output degree d is a column prefix
+    of a, of length (d + 1) K, against a row suffix of b: slices, with
+    no copy and no Toeplitz zero.  The limb partials are folded over
+    blocks of whole output degrees, g n m <= max(_EXPAND_BUDGET, n m)
+    entries each; a contraction longer than _CHUNK is folded in chunks.
+    """
+    n, k, dp1 = a.shape
+    m = b.shape[1]
+    count = _limb_count(p)
+    af = _limbs_f64(a.transpose(0, 2, 1), count).reshape(count, n, dp1 * k)
+    bf = _limbs_f64(b[:, :, ::-1].transpose(2, 0, 1), count).reshape(count, dp1 * k, m)
+    out = np.zeros((n, m, dp1), dtype=np.uint64)
+    g = max(1, _EXPAND_BUDGET // (n * m))               # output degrees per fold
+    for lo_d in range(0, dp1, g):
+        hi_d = min(lo_d + g, dp1)
+        for lo in range(0, hi_d * k, _CHUNK):
+            first = max(lo_d, lo // k)                  # degrees whose contraction passes lo
+
+            def partial(i, j, part):
+                for slot, d in enumerate(range(first, hi_d)):
+                    hi = min(lo + _CHUNK, (d + 1) * k)
+                    off = (dp1 - 1 - d) * k             # b's degree d - t sits at row off + (t, k)
+                    np.matmul(af[i, :, lo:hi], bf[j, off + lo : off + hi], out=part[slot])
+
+            acc = _fold_limbs(partial, (hi_d - first, n, m), count, p).transpose(1, 2, 0)
+            if lo:
+                acc = add_mod(out[:, :, first:hi_d], acc, p)
+            out[:, :, first:hi_d] = acc
     return out
 
 

@@ -83,11 +83,25 @@ def default_k(n: int) -> int:
     return max(1, math.ceil(math.sqrt(max(1.0, math.log2(n)))))
 
 
+def resolve_k(n: int, k: int | None) -> int:
+    """The top level: k, or default_k(n) when k is None.
+
+    k = 0 is legal: every vertex is at level 0 and active, so H keeps a
+    BFS ball of radius 1/eps' around each, at the smallest certificate
+    beta = 2 ceil(8/eps).  k below 0 is a ValueError.
+    """
+    if k is None:
+        return default_k(n)
+    if k < 0:
+        raise ValueError(f"need k >= 0, got k = {k}")
+    return k
+
+
 def beta_certificate(n: int, eps, k: int | None = None) -> int:
     """The spanner's additive beta on n vertices, 2 ceil(eps'^-(k+1)) for eps' = eps/8."""
     if not 0 < float(eps) <= 1:
         raise ValueError("need 0 < eps <= 1")
-    k = default_k(n) if k is None else k
+    k = resolve_k(n, k)
     return 2 * math.ceil((Fraction(eps) / 8) ** -(k + 1))
 
 
@@ -97,12 +111,12 @@ def level_tables(g: DynamicGraph, eps, seed: int, k: int | None = None) -> tuple
     k is the top level, beta the certificate, level[v] the sampled level
     of v, radii[i] the ball radius at level i and floors[j][i] the floor
     of the threshold between a level-j blocker and a level-i blockee.
-    Checks eps and g first.
+    Checks eps, k and g first.
     """
     beta = beta_certificate(g.n, eps, k)
     if g.directed:
         raise ValueError("spanners are defined for undirected graphs")
-    k = default_k(g.n) if k is None else k
+    k = resolve_k(g.n, k)
     inv_pow = [(Fraction(eps) / 8) ** -(i + 1) for i in range(k + 1)]
     radii = [min(g.n, math.ceil(x)) for x in inv_pow]
     floors = [[math.floor(x - y) for y in inv_pow] for x in inv_pow]
@@ -131,7 +145,7 @@ class SpannerState:
     active vertex, maintained under edge deletions or insertions."""
 
     def __init__(self, g: DynamicGraph, eps, seed: int, mode: str, k: int | None = None) -> None:
-        tables = level_tables(g, eps, seed, k)  # checks eps and g first
+        tables = level_tables(g, eps, seed, k)  # checks eps, k and g first
         if mode not in (DECREMENTAL, INCREMENTAL):
             raise ValueError(f"unknown mode {mode!r}")
         self.g = g
@@ -289,7 +303,7 @@ class RebuildSpanner:
     """
 
     def __init__(self, g: DynamicGraph, eps, seed: int, k: int | None = None) -> None:
-        # checks eps, and is fixed by (n, eps, k): reading it runs no construction
+        # checks eps and k, and is fixed by (n, eps, k): reading it runs no construction
         self.beta_certificate = beta_certificate(g.n, eps, k)
         self.g = g
         self.eps = eps

@@ -224,6 +224,23 @@ def test_spanner_alg_levels_and_scale_below_one_are_usage_errors(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("structure", ["spanner-comb", "approx-apsp", "steiner"])
+@pytest.mark.parametrize("value", ["-1", "-3"])
+def test_negative_spanner_levels_are_usage_errors(tmp_path, capsys, structure, value):
+    script = gen_random(tmp_path)
+    out = tmp_path / "out.csv"
+    argv = ["run", "--structure", structure, "--script", str(script), "--k", value]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: need k >= 0, got k = {value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("structure", ["spanner-comb", "approx-apsp"])
+def test_level_zero_spanner_is_verified(tmp_path, structure):
+    script = gen_random(tmp_path)
+    assert main(["verify", "--structure", structure, "--script", str(script), "--k", "0"]) == 0
+
+
 def test_structures_tuple_is_stable():
     assert STRUCTURES == (
         "exact-apsp",

@@ -127,7 +127,7 @@ def test_poly_mat_mul_matches_per_degree_loop(case):
     [(5, 3, 7, 4), (7, 3, 5, 4), (6, 1, 6, 9), (1, 4, 9, 1), (4, 0, 3, 3), (0, 2, 3, 2)],
 )
 def test_poly_mat_mul_block_boundaries(monkeypatch, p, budget, n, k, m, dp1):
-    """Toeplitz blocks of one or several outer entries give one answer."""
+    """One Toeplitz block, or the degree-major path when b needs several, gives one answer."""
     monkeypatch.setattr(_kernels, "_EXPAND_BUDGET", budget)
     rng = np.random.default_rng(n * 100 + m)
     a = operand(rng, (n, k, dp1), p, 1, 0)
@@ -135,6 +135,51 @@ def test_poly_mat_mul_block_boundaries(monkeypatch, p, budget, n, k, m, dp1):
     out = poly_mat_mul(a, b, p)
     assert out.shape == (n, m, dp1) and out.flags.c_contiguous
     assert np.array_equal(out, ref_poly_mat_mul(a, b, p))
+
+
+@st.composite
+def by_degree_cases(draw):
+    """Shapes that a small _EXPAND_BUDGET sends to the degree-major path
+    whenever n and m are both at least 2, n < m included."""
+    p = draw(st.sampled_from(PRIMES))
+    if draw(st.booleans()):
+        n, m = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+        k, dp1 = draw(st.integers(0, 6)), draw(st.integers(1, 9))
+    else:
+        # K (D+1) at 2047, 2048 and 2049, the _CHUNK boundary; D+1 = 1 included
+        n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        k, dp1 = draw(st.sampled_from(
+            [(2047, 1), (2048, 1), (2049, 1), (89, 23), (23, 89), (256, 8), (683, 3)]
+        ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        a = operand(rng, (n, k, dp1), p, draw(st.integers(0, n)), draw(st.integers(0, 2)))
+        b = operand(rng, (k, m, dp1), p, draw(st.integers(0, 2)), draw(st.integers(0, m)))
+    else:  # every partial sum at its largest
+        a = np.full((n, k, dp1), p - 1, dtype=np.uint64)
+        b = np.full((k, m, dp1), p - 1, dtype=np.uint64)
+    return a, b, p, draw(st.sampled_from([1, 40, 600]))
+
+
+@given(by_degree_cases())
+@settings(max_examples=80, deadline=None)
+def test_poly_mat_mul_by_degree_matches_per_degree_loop(case):
+    a, b, p, budget = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_EXPAND_BUDGET", budget)
+        out = poly_mat_mul(a, b, p)
+    assert out.shape == (a.shape[0], b.shape[1], a.shape[2]) and out.flags.c_contiguous
+    assert np.array_equal(out, ref_poly_mat_mul(a, b, p))
+
+
+def test_only_products_of_several_toeplitz_blocks_go_by_degree():
+    fits = _kernels._fits_one_block
+    assert not fits(72, 10, 72, 25)     # the apsp-ring reset
+    assert not fits(128, 14, 128, 9)    # the reporter-gnp reset
+    assert not fits(52, 2, 52, 25)      # the apsp-ring H x H view correction
+    assert fits(1, 10, 52, 25)          # one row of the inverse
+    assert fits(14, 14, 128, 9)         # 14 rows of the inverse
+    assert fits(128, 14, 1, 9) and fits(1, 14, 128, 9)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -172,17 +217,21 @@ def test_unsupported_modulus_is_rejected():
 
 @pytest.mark.parametrize(
     "n, k, m",
-    [(72, 10, 72),   # the apsp-ring reset: T[:, nrows] @ N[nrows]
-     (1, 9, 72)],    # one row of T(I+N)
+    [(72, 10, 72),    # the apsp-ring reset: T[:, nrows] @ N[nrows]
+     (128, 14, 128),  # the reporter-gnp reset's outer shape
+     (1, 9, 72)],     # one row of T(I+N)
 )
 def test_poly_mat_mul_peak_memory(n, k, m):
-    """Peak = output + limbs of the flat operand + one Toeplitz block.
+    """Peak = output + limbs of the operands + one block of the fold.
 
-    Expanding the operand with more outer entries whole (its float limbs
-    are 10.8 MB at the reset shape, 9.7 MB at the one-row read) exceeds
-    the bound more than twice.  At the one-row read the bound cannot be
-    a small multiple of the output alone: the other operand's limbs are
-    27 times the output.
+    The two resets go by degree (the limbs of both operands and one
+    block of whole output degrees), the one-row read is one Toeplitz
+    block.  Expanding the operand with more outer entries whole (its
+    float limbs are 10.8 MB at the apsp-ring reset shape, 26.9 MB at
+    the reporter-gnp one, 9.7 MB at the one-row read) exceeds the bound
+    more than twice.  At the one-row read the bound cannot be a small
+    multiple of the output alone: the other operand's limbs are 27 times
+    the output.
     """
     dp1 = 25
     rng = np.random.default_rng(0)

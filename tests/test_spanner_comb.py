@@ -186,6 +186,31 @@ def test_parameter_domains():
             RebuildSpanner(g, eps, seed=0).beta_certificate
 
 
+@pytest.mark.parametrize("k", [-1, -2])
+def test_negative_levels_are_rejected_before_any_construction(k):
+    g = DynamicGraph(10)
+    g.insert_edge(0, 1)
+    message = f"need k >= 0, got k = {k}"
+    with pytest.raises(ValueError, match=message):
+        RebuildSpanner(g, 1, seed=0, k=k)
+    with pytest.raises(ValueError, match=message):
+        level_tables(g, 1, seed=0, k=k)
+    with pytest.raises(ValueError, match=message):
+        sp_rebuild_update(g, 1, seed=0, k=k)
+    for mode in (DECREMENTAL, INCREMENTAL):
+        with pytest.raises(ValueError, match=message):
+            SpannerState(g.copy(), eps=1, seed=0, mode=mode, k=k)
+
+
+def test_level_zero_alone_keeps_every_distance_within_its_radius():
+    g, _ = random_graph(20, 30, seed=4)
+    k, beta, level, radii, _ = level_tables(g, 1, seed=0, k=0)
+    assert (k, beta, radii) == (0, 16, [8]) and set(level) == {0}
+    H = graph_of(g.n, sp_rebuild_update(g, 1, seed=0, k=0)[0])
+    dg, dh = all_pairs_dist(g), all_pairs_dist(H)
+    assert all(dh[x][y] == dg[x][y] for x in range(20) for y in range(20) if dg[x][y] <= 8)
+
+
 def test_thresholds_are_exact_rationals():
     # eps = 1, so eps' = 1/8 and threshold(j, i) = 8^(j+1) - 8^(i+1)
     k, beta, _, radii, floors = level_tables(DynamicGraph(8), 1, seed=1, k=2)
