@@ -9,22 +9,38 @@ reduced modulo a prime p.  Two primes are supported:
   plain ``%`` suffices.
 
 Exact matrix products run on float64 BLAS.  Each entry is split into
-21-bit limbs: three for 2^61 - 1, two below 2^31 (the third would be
-zero).  Limbs i of A and j of B give one float matmul, whose entries
-are at most K (2^21 - 1)^2 < 2^53 for contraction length K <= 2048,
-so they are exact integers; longer contractions are chunked.
+21-bit limbs: three for 2^61 - 1, the top one below 2^19 since entries
+are below p, and two for primes below 2^31, the second below 2^10.
 
-Grouped limb fold.  The partials are converted to uint64 one at a
-time and added into the group of their shift 21 (i + j): nine partials
-into five groups G_0..G_4.  At most three partials share a group, so
-every group sum stays below 2^55.  The product is then
-sum_s G_s 2^(21 s) mod p, and each group is folded in as soon as it is
-complete.  For 2^61 - 1, multiplying a value below 2^61 by 2^r is a
-rotation of its 61 bits left by r mod 61, so the groups are rotated by
-0, 21, 42, 2 and 23 bits.  The five rotated values sum below 2^64, and
-two folds of the bits above 2^61, plus mapping p itself to 0, leave
-the canonical residue.  Below 2^31 the three groups are combined by
-Horner's rule with ``%``.
+Karatsuba limb products.  With X = 2^21, a = a0 + a1 X + a2 X^2 and
+likewise b, the product A B is sum_(i,j) P_ij X^(i+j) over the limb
+products P_ij = A_i B_j.  Karatsuba and Ofman's trick takes six float
+matmuls instead of nine: P00, P11, P22 and Q_ij = (A_i + A_j)(B_i + B_j)
+for the pairs 01, 02 and 12, as P_ij + P_ji = Q_ij - P_ii - P_jj.
+Since X^3 = 2^63 = 4 and X^4 = 4 X mod 2^61 - 1, three groups remain,
+computed in float in this order:
+
+    G0 = P00 + 4 (Q12 - P22 - P11),
+    G1 = 4 P22 - P00 - P11 + Q01,
+    G2 = Q02 - P22 - P00 + P11,
+
+and the product is G0 + G1 X + G2 X^2 mod p.  Below 2^31 the three
+products P00, P11 and Q01 give P00, P01 + P10 = Q01 - P00 - P11 and
+P11, each below K 2^43, combined by Horner's rule with ``%``.
+
+Bounds.  A limb sum is below 2^22, so every product term is below 2^44.
+A contraction of K <= _CHUNK = 341 terms keeps every float sum below
+K 2^44 < 2^53, so each product is exact; longer contractions are
+chunked and the chunks added mod p.  As the top limb is below 2^19,
+G0 < 3 K 2^42, G1 < K (2^43 + 2^40) and G2 < K (2^42 + 2^41), so every
+group is below 1023 * 2^42 < 2^52, and every value met on the way is
+an integer below 2^53 in magnitude, so exact.  A group plus 2^52 holds
+the group in its 52 mantissa bits, which makes the conversion to
+uint64 one vector add and one mask, where a float-to-integer cast is a
+scalar loop.  For 2^61 - 1, multiplying a value below 2^61 by 2^r is a
+rotation of its 61 bits left by r, so G0 + rot21(G1) + rot42(G2) is
+below 2^52 + 2p; one fold of the bits above 2^61 leaves it below 2p,
+and one conditional subtraction of p leaves the canonical residue.
 
 Polynomials in F_p[u]/<u^(D+1)> are stored as dense coefficient vectors
 along the LAST axis of an array; leading axes broadcast.
@@ -51,18 +67,21 @@ degree by degree.  a's limbs are laid out with columns (t, k), degree
 first, and b's with rows (D - t, k), degrees reversed, each split once
 per call.  Output degree d is then a column prefix of a, of length
 (d + 1) K, against a row suffix of b: slices, so nothing is copied and
-no Toeplitz zero is multiplied.  The limb partials are folded over
-blocks of whole output degrees; a contraction longer than 2048 is
-folded chunk by chunk and the chunks added mod p.
+no Toeplitz zero is multiplied.  The limb products are folded over
+blocks of whole output degrees; each block re-forms the limb sums over
+the columns of a and rows of b that it reads, in the one sum slot of
+each operand.  A contraction longer than _CHUNK is folded chunk by
+chunk and the chunks added mod p.
 
 Entry budget.  A Toeplitz block of g outer entries has K (D+1) rows
 and g (D+1) columns, and its output n g (D+1) entries; b fits in one
 block when both stay within _EXPAND_BUDGET entries for g = m, or when
-m = 1.  The degree-major path keeps the limbs of both operands, up to
-three times their size, and folds g output degrees at a time, with
-g n m <= max(_EXPAND_BUDGET, n m) entries in each of its four fold
-buffers.  So the extra memory of one call is a few times the operands
-and the output, and does not grow with a Toeplitz expansion.
+m = 1.  The degree-major path keeps the limbs of both operands and one
+sum slot each, four times their size, and folds g output degrees at a
+time, with g n m <= max(_EXPAND_BUDGET, n m) entries in each of its six
+fold buffers (five float slots and the result), allocated once per
+call.  So the extra memory of one call is a few times the operands and
+the output, and does not grow with a Toeplitz expansion.
 """
 from __future__ import annotations
 
@@ -73,7 +92,11 @@ MERSENNE61 = (1 << 61) - 1
 
 _LIMB_BITS = 21
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
-_CHUNK = 2048  # max contraction length for exact float64 limb products
+_CHUNK = 341  # max contraction length: keeps every limb group below 2^52
+_TWO52 = float(1 << 52)
+_LOW52 = np.uint64((1 << 52) - 1)
+_ROT_LEFT = np.array([_LIMB_BITS, 2 * _LIMB_BITS], dtype=np.uint64)
+_ROT_RIGHT = np.uint64(61) - _ROT_LEFT
 _EXPAND_BUDGET = 1 << 14  # entries of one Toeplitz block, or of one degree-major fold
 
 
@@ -83,13 +106,12 @@ def supported_prime(p: int) -> bool:
 
 def add_mod(a, b, p):
     s = np.add(np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64))
-    return np.where(s >= p, s - np.uint64(p), s)
+    return np.minimum(s, s - np.uint64(p))      # s - p wraps above s when s < p
 
 
 def sub_mod(a, b, p):
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    return np.where(a >= b, a - b, a + np.uint64(p) - b)
+    d = np.subtract(np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64))
+    return np.minimum(d, d + np.uint64(p))      # d + p wraps below d when a < b
 
 
 def _mul_mod_m61(a, b):
@@ -131,89 +153,141 @@ def _limb_count(p: int) -> int:
 
 
 def _limbs_f64(a, count: int):
-    """Split uint64 entries (< 2^63) into `count` 21-bit limbs as float64."""
-    out = np.empty((count,) + a.shape)
-    limb = np.empty(a.shape, dtype=np.uint64)
+    """Split uint64 entries (< p) into `count` 21-bit limbs as float64.
+
+    Returns (count + 1,) + a.shape: the limbs, then one slot for limb
+    sums.  With two limbs the slot holds a0 + a1; with three it is
+    scratch, which _fold fills with one pair's sum at a time.
+    """
+    out = np.empty((count + 1,) + a.shape)
+    limb = out[count].view(np.uint64)           # the sum slot, until the sums
     for i in range(count):
         np.right_shift(a, np.uint64(_LIMB_BITS * i), out=limb)
         if i + 1 < count:
             limb &= np.uint64(_LIMB_MASK)
         out[i] = limb
+    if count == 2:
+        np.add(out[0], out[1], out=out[2])
     return out
 
 
-def _fold_limbs(partial, shape, count, p):
-    """Exact sum_(i,j) P_ij 2^(21 (i + j)) mod p, as a uint64 array of shape.
+def _as_uint64(x):
+    """float64 integers in [0, 2^52) as uint64, in place.
 
-    partial(i, j, out) writes the limb partial P_ij, a float64 array of
-    exact integers below 2^53, into out.  Each partial is added, as
-    uint64, into the group of its shift 21 (i + j).  At most three
-    partials share a group, so every group sum stays below 2^55.  Each
-    group is folded into the result as soon as it is complete, highest
-    shift first, so four buffers of shape are live at a time.
+    x + 2^52 lies in [2^52, 2^53), where float64 steps by 1, so it is
+    exact and its 52 mantissa bits are x: two vector passes, where a
+    float-to-integer cast is a scalar loop.
     """
-    part = np.empty(shape)
-    group = np.empty(shape, dtype=np.uint64)
-    tmp = np.empty(shape, dtype=np.uint64)
-    acc = np.zeros(shape, dtype=np.uint64)
-    m = np.uint64(MERSENNE61)
-    for s in range(2 * count - 2, -1, -1):
-        first = max(0, s - count + 1)
-        for i in range(first, min(s, count - 1) + 1):
-            partial(i, s - i, part)
-            if i == first:
-                np.copyto(group, part, casting="unsafe")
-            else:
-                np.copyto(tmp, part, casting="unsafe")
-                group += tmp
-        if p == MERSENNE61:
-            # times 2^(21 s) mod 2^61 - 1 is a 61-bit rotation left; the
-            # five rotated groups, each below 2^61, sum below 2^64
-            r = _LIMB_BITS * s % 61
-            np.left_shift(group, np.uint64(r), out=tmp)
-            tmp &= m
-            group >>= np.uint64(61 - r)
-            tmp |= group
-            acc += tmp
-        else:                                   # Horner's rule, below 2^56
+    x += _TWO52
+    out = x.view(np.uint64)
+    out &= _LOW52
+    return out
+
+
+def _fold_buffers(shape, count):
+    """_fold's float slots and its uint64 result, for outputs of shape."""
+    return np.empty((3 if count == 2 else 5,) + shape), np.empty(shape, dtype=np.uint64)
+
+
+def _fold(mul, add_sums, part, acc, p):
+    """Exact sum_(i,j) a_i b_j 2^(21 (i + j)) mod p, written into acc.
+
+    part and acc come from _fold_buffers (or are views of the same
+    leading entries of them).  mul(s, out) writes the float64 products
+    of the operands' limb slots s (an index or a slice of their stacks)
+    into out; add_sums(i, j) fills both operands' sum slot with limbs
+    i + j.  Two limbs take the products P00, P11 and
+    Q01 = (a0 + a1)(b0 + b1), combined by Horner's rule.  Three limbs
+    take P00, P11, P22 and the Q of each pair, wrapped into the groups
+    G0, G1, G2 of shifts 0, 21 and 42 in float, then converted, rotated
+    and folded once (see the module docstring).
+    """
+    if len(part) == 3:
+        mul(slice(0, 3), part)
+        part[2] -= part[0]
+        part[2] -= part[1]                      # P01 + P10
+        limbs = _as_uint64(part)
+        q = np.uint64(p)
+        np.remainder(limbs[1], q, out=acc)
+        for i in (2, 0):                        # Horner's rule, below 2^53
             acc <<= np.uint64(_LIMB_BITS)
-            acc += group
-            acc %= np.uint64(p)
-    if p == MERSENNE61:
-        for _ in range(2):
-            np.right_shift(acc, np.uint64(61), out=tmp)
-            acc &= m
-            acc += tmp
-        np.add(acc, np.uint64(1), out=tmp)      # acc <= p now; map p to 0
-        tmp >>= np.uint64(61)
-        acc += tmp
-        acc &= m
-    return acc
+            acc += limbs[i]
+            acc %= q
+        return
+    # slots: P00, P11, P22, then G0 and G2; slot 2 becomes G1, so the
+    # groups end as the stack [G1, G0, G2] of shifts 21, 0 and 42
+    mul(slice(0, 3), part[:3])
+    for slot, (i, j) in ((3, (1, 2)), (4, (0, 2))):
+        add_sums(i, j)
+        mul(3, part[slot])                      # Q12, then Q02
+    part[3:] -= part[2]
+    part[3] -= part[1]
+    part[3] *= 4
+    part[3] += part[0]                          # G0 = P00 + 4 (P12 + P21)
+    part[4] -= part[0]
+    part[4] += part[1]                          # G2 = P02 + P20 + P11
+    part[2] *= 4
+    part[2] -= part[0]
+    part[2] -= part[1]
+    add_sums(0, 1)
+    mul(3, part[0])                             # Q01
+    part[2] += part[0]                          # G1 = P01 + P10 + 4 P22
+    groups = _as_uint64(part[2:])
+    m = np.uint64(MERSENNE61)
+    # times 2^21 and 2^42 mod 2^61 - 1: rotations of 61 bits left
+    rot = groups[::2]
+    tmp = part[:2].view(np.uint64)
+    axes = (2,) + (1,) * (part.ndim - 1)
+    np.left_shift(rot, _ROT_LEFT.reshape(axes), out=tmp)
+    tmp &= m
+    rot >>= _ROT_RIGHT.reshape(axes)
+    tmp |= rot
+    np.add(groups[1], tmp[0], out=acc)
+    acc += tmp[1]                               # below 2^52 + 2 p
+    tmp = tmp[0]
+    np.right_shift(acc, np.uint64(61), out=tmp)
+    acc &= m
+    acc += tmp                                  # below 2 p
+    np.add(acc, np.uint64(1), out=tmp)          # acc - p when acc >= p
+    tmp >>= np.uint64(61)
+    acc += tmp
+    acc &= m
 
 
-def _mat_mul_limbs(af, bf, p):
-    """Exact (A @ B) mod p from limb stacks (L, ..., n, K) and (L, ..., K, m).
-
-    K <= 2048, and leading axes broadcast as in np.matmul.
-    """
-    lead = np.broadcast_shapes(af.shape[1:-2], bf.shape[1:-2])
-    shape = lead + (af.shape[-2], bf.shape[-1])
-    return _fold_limbs(
-        lambda i, j, out: np.matmul(af[i], bf[j], out=out), shape, af.shape[0], p
-    )
+def _add_mod_into(x, y, p):
+    """x <- (x + y) mod p in place; y is overwritten."""
+    x += y
+    np.subtract(x, np.uint64(p), out=y)
+    np.minimum(x, y, out=x)
 
 
 def _mat_mul_chunked(af, bf, p):
-    """_mat_mul_limbs over any contraction length, in chunks of 2048."""
+    """Exact (A @ B) mod p from limb stacks (L + 1, ..., n, K) and
+    (L + 1, ..., K, m), in contraction chunks of _CHUNK.
+
+    Leading axes broadcast as in np.matmul.  With three limbs, both
+    stacks' sum slots are overwritten.
+    """
+    lead = np.broadcast_shapes(af.shape[1:-2], bf.shape[1:-2])
+    shape = lead + (af.shape[-2], bf.shape[-1])
     k = af.shape[-1]
     if k == 0:
-        lead = np.broadcast_shapes(af.shape[1:-2], bf.shape[1:-2])
-        return np.zeros(lead + (af.shape[-2], bf.shape[-1]), dtype=np.uint64)
-    out = None
+        return np.zeros(shape, dtype=np.uint64)
+    part, out = _fold_buffers(shape, af.shape[0] - 1)
+    chunk = np.empty_like(out) if k > _CHUNK else None
     for lo in range(0, k, _CHUNK):
-        hi = lo + _CHUNK
-        part = _mat_mul_limbs(af[..., lo:hi], bf[..., lo:hi, :], p)
-        out = part if out is None else add_mod(out, part, p)
+        a, b = af[..., lo : lo + _CHUNK], bf[..., lo : lo + _CHUNK, :]
+
+        def add_sums(i, j):
+            np.add(a[i], a[j], out=a[-1])
+            np.add(b[i], b[j], out=b[-1])
+
+        def mul(s, o):
+            np.matmul(a[s], b[s], out=o)
+
+        _fold(mul, add_sums, part, chunk if lo else out, p)
+        if lo:
+            _add_mod_into(out, chunk, p)
     return out
 
 
@@ -321,25 +395,36 @@ def _poly_mat_mul_by_degree(a, b, p):
     n, k, dp1 = a.shape
     m = b.shape[1]
     count = _limb_count(p)
-    af = _limbs_f64(a.transpose(0, 2, 1), count).reshape(count, n, dp1 * k)
-    bf = _limbs_f64(b[:, :, ::-1].transpose(2, 0, 1), count).reshape(count, dp1 * k, m)
+    af = _limbs_f64(a.transpose(0, 2, 1), count).reshape(count + 1, n, dp1 * k)
+    bf = _limbs_f64(b[:, :, ::-1].transpose(2, 0, 1), count).reshape(count + 1, dp1 * k, m)
     out = np.zeros((n, m, dp1), dtype=np.uint64)
     g = max(1, _EXPAND_BUDGET // (n * m))               # output degrees per fold
+    part, acc = _fold_buffers((min(g, dp1), n, m), count)
     for lo_d in range(0, dp1, g):
         hi_d = min(lo_d + g, dp1)
         for lo in range(0, hi_d * k, _CHUNK):
             first = max(lo_d, lo // k)                  # degrees whose contraction passes lo
+            # the columns of a, and the rows of b, that these degrees read
+            a_cols = slice(lo, min(lo + _CHUNK, hi_d * k))
+            b_rows = slice((dp1 - hi_d) * k + lo, min((dp1 - 1 - first) * k + lo + _CHUNK, dp1 * k))
 
-            def partial(i, j, part):
+            def mul(s, o):
                 for slot, d in enumerate(range(first, hi_d)):
                     hi = min(lo + _CHUNK, (d + 1) * k)
                     off = (dp1 - 1 - d) * k             # b's degree d - t sits at row off + (t, k)
-                    np.matmul(af[i, :, lo:hi], bf[j, off + lo : off + hi], out=part[slot])
+                    np.matmul(af[s, :, lo:hi], bf[s, off + lo : off + hi], out=o[..., slot, :, :])
 
-            acc = _fold_limbs(partial, (hi_d - first, n, m), count, p).transpose(1, 2, 0)
+            def add_sums(i, j):
+                np.add(af[i, :, a_cols], af[j, :, a_cols], out=af[-1, :, a_cols])
+                np.add(bf[i, b_rows], bf[j, b_rows], out=bf[-1, b_rows])
+
+            size = hi_d - first
+            _fold(mul, add_sums, part[:, :size], acc[:size], p)
+            degrees = acc[:size].transpose(1, 2, 0)
             if lo:
-                acc = add_mod(out[:, :, first:hi_d], acc, p)
-            out[:, :, first:hi_d] = acc
+                _add_mod_into(out[:, :, first:hi_d], degrees, p)
+            else:
+                out[:, :, first:hi_d] = degrees
     return out
 
 

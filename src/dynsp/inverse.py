@@ -29,6 +29,8 @@ correction, read against the inverse before the update.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ._kernels import add_mod, mat_powers, mul_mod, poly_mat_mul, sub_mod
@@ -73,8 +75,14 @@ class InverseState:
         self.D = A.D
         if self.D < 1:
             raise ValueError(f"need D >= 1, got D = {self.D}")
+        try:
+            scale = float(self.n) ** kappa
+        except OverflowError:
+            scale = math.inf
+        if not math.isfinite(scale):
+            raise ValueError(f"need n^kappa finite, got kappa = {kappa} at n = {self.n}")
         self.kappa = kappa
-        self.reset_period = max(1, round(self.n**kappa))
+        self.reset_period = max(1, round(scale))
         self.T = mat_powers(A.R, self.D, self.p)
         self.N = np.zeros_like(self.T)
         self.nrows: list[int] = []

@@ -200,6 +200,17 @@ def test_degree_bound_below_one_is_a_usage_error(tmp_path, capsys, command, D):
     assert err == f"error: --D must be at least 1, got {D}\n"
 
 
+@pytest.mark.parametrize("structure", ["path-reporter", "exact-apsp"])
+@pytest.mark.parametrize("kappa", ["inf", "1e308", "nan"])
+def test_kappa_without_a_finite_reset_scale_is_a_usage_error(tmp_path, capsys, structure, kappa):
+    script = gen_random(tmp_path)
+    out = tmp_path / "out.csv"
+    argv = ["run", "--structure", structure, "--script", str(script), "--kappa", kappa]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: need n^kappa finite, got kappa = {float(kappa)} at n = 10\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("structure", ["approx-apsp", "steiner"])
 def test_spanner_eps_is_checked_before_any_query(tmp_path, capsys, structure):
     # every query lies within D, so no answer would read the spanner

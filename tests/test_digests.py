@@ -4,12 +4,15 @@ Each stream replays a fixed sequence of edge updates through a
 PathReporter and, after every update, feeds M^-1 = T(I + N) (from
 host.query_full) into one sha256 and the all-pairs min-degree block
 (from dist_block) into another.  The pinned digests were taken before
-poly_mat_mul gained its degree-major path, so a kernel or inverse
-refactor that changes any answer, at any update, fails here.  T and N
-themselves are not pinned: only the inverse they represent is.
+poly_mat_mul gained its degree-major path (the p = 5 and D = 24 streams
+before the limb products went from nine to six), so a kernel or
+inverse refactor that changes any answer, at any update, fails here.
+T and N themselves are not pinned: only the inverse they represent is.
 
-At n = 48 and D = 8 the resets and full reads multiply (48, |nrows|, 9)
-by (|nrows|, 48, 9), a product too large for one Toeplitz block.
+At n = 48 the resets and full reads multiply (48, |nrows|, D+1) by
+(|nrows|, 48, D+1), a product too large for one Toeplitz block.  The
+p = 5 stream pins a prime whose entries fit in three bits, where sums
+cancel mod p often; D = 24 is the apsp-ring degree bound.
 """
 
 import hashlib
@@ -24,7 +27,7 @@ from dynsp.graph import DynamicGraph
 from dynsp.reporter import PathReporter
 from dynsp.ring import FieldParams
 
-N, D, EDGES, UPDATES = 48, 8, 72, 80
+N, D, EDGES, UPDATES = 48, 8, 72, 80  # D: the default stream's bound
 
 PINS = {
     (False, MERSENNE61): (
@@ -45,10 +48,21 @@ PINS = {
     ),
 }
 
+MORE_PINS = {  # (directed, p, D): streams at a tiny prime and a larger D
+    (False, 5, 8): (
+        "28c6f7bb02b149a295692b6b2522a4e9da1b22f9502f9a908f5fa0392e7584a4",
+        "cbff7e156a38e082433a132e05f31491c91e4557681c8e955c9474520ee420c8",
+    ),
+    (True, MERSENNE61, 24): (
+        "0f4b93a702984f484b1cda9dcd6dd6201e20cd98ea7fdaffcfb39bc84ed5bd45",
+        "f07784ce65002d24d87b65f91e71b7310fa1a95cb0e74985a8c3b13e8748d1da",
+    ),
+}
 
-def replay(directed, p):
+
+def replay(directed, p, d=D):
     """The reporter after a fixed stream, and the two running digests."""
-    rng = random.Random(f"digest/{int(directed)}/{p}")
+    rng = random.Random(f"digest/{int(directed)}/{p}" + (f"/{d}" if d != D else ""))
     g = DynamicGraph(N, directed=directed)
     present = []
 
@@ -63,7 +77,7 @@ def replay(directed, p):
         e = random_absent()
         g.insert_edge(*e)
         present.append(e)
-    pr = PathReporter(g, D, seed=3, params=FieldParams(p=p, rng_seed=3))
+    pr = PathReporter(g, d, seed=3, params=FieldParams(p=p, rng_seed=3))
     full, dist = hashlib.sha256(), hashlib.sha256()
     for _ in range(UPDATES):
         if len(present) > EDGES or (len(present) == EDGES and rng.random() < 0.5):
@@ -84,3 +98,12 @@ def test_inverse_and_distances_match_their_pins_after_every_update(directed, p):
     stats = pr.host.stats()
     assert stats["resets"] >= 3
     assert not _kernels._fits_one_block(N, stats["nrows_max"], N, D + 1)
+
+
+@pytest.mark.parametrize("directed, p, d", list(MORE_PINS))
+def test_tiny_prime_and_large_bound_streams_match_their_pins(directed, p, d):
+    pr, full, dist = replay(directed, p, d)
+    assert (full, dist) == MORE_PINS[directed, p, d]
+    stats = pr.host.stats()
+    assert stats["resets"] >= 3
+    assert not _kernels._fits_one_block(N, stats["nrows_max"], N, d + 1)

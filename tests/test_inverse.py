@@ -81,6 +81,12 @@ def test_reset_period_scaling():
     assert st2.reset_period < st.reset_period
 
 
+@pytest.mark.parametrize("kappa", [math.inf, 1e308, math.nan])
+def test_kappa_without_a_finite_reset_scale_is_rejected(kappa):
+    with pytest.raises(ValueError, match="kappa"):
+        InverseState(encode(DynamicGraph(16), FieldParams(rng_seed=0), 3), kappa)
+
+
 def _pair_states(n, D, p, period, H, seed):
     """Two empty-graph states on one encoding, each with a view."""
     # round(n^kappa) == period, so the reset period does not depend on n

@@ -82,10 +82,15 @@ def operand(rng, shape, p, full_rows, full_cols):
     return x
 
 
+# contraction lengths at the kernel's chunk bound (341 terms) and twice
+# it, at 512, and at the 2048 of the nine-partial reference
+CHUNK_LENGTHS = [340, 341, 342, 511, 512, 513, 682, 683, 2047, 2048, 2049]
+
+
 @st.composite
 def mat_cases(draw):
     p = draw(st.sampled_from(PRIMES))
-    k = draw(st.sampled_from([2047, 2048, 2049]))
+    k = draw(st.sampled_from(CHUNK_LENGTHS))
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     a = operand(rng, (n, k), p, draw(st.integers(0, n)), 0)
@@ -103,9 +108,9 @@ def test_mat_mul_mod_matches_nine_partial_fold(case):
 @st.composite
 def poly_cases(draw):
     p = draw(st.sampled_from(PRIMES))
-    # K * (D+1) just below, at and just above the 2048 chunk boundary
+    # K * (D+1) just below, at and just above 341, 512 and 2048 terms
     dp1 = draw(st.sampled_from([8, 16]))
-    k = 2048 // dp1 + draw(st.sampled_from([-1, 0, 1]))
+    k = draw(st.sampled_from([341, 512, 2048])) // dp1 + draw(st.sampled_from([-1, 0, 1]))
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     a = operand(rng, (n, k, dp1), p, draw(st.integers(0, n)), draw(st.integers(0, 2)))
@@ -146,10 +151,11 @@ def by_degree_cases(draw):
         n, m = draw(st.integers(0, 40)), draw(st.integers(0, 40))
         k, dp1 = draw(st.integers(0, 6)), draw(st.integers(1, 9))
     else:
-        # K (D+1) at 2047, 2048 and 2049, the _CHUNK boundary; D+1 = 1 included
+        # K (D+1) at and around the chunk bounds; D+1 = 1 included
         n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
         k, dp1 = draw(st.sampled_from(
-            [(2047, 1), (2048, 1), (2049, 1), (89, 23), (23, 89), (256, 8), (683, 3)]
+            [(2047, 1), (2048, 1), (2049, 1), (89, 23), (23, 89), (256, 8), (683, 3),
+             (340, 1), (341, 1), (342, 1), (11, 31), (19, 18), (7, 73), (27, 19)]
         ))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     if draw(st.booleans()):
@@ -184,7 +190,9 @@ def test_only_products_of_several_toeplitz_blocks_go_by_degree():
 
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize(
-    "sa, sb", [((25,), (25,)), ((1, 9), (6, 9)), ((4, 1, 5), (1, 3, 5)), ((1,), (1,))]
+    "sa, sb",
+    [((25,), (25,)), ((1, 9), (6, 9)), ((4, 1, 5), (1, 3, 5)), ((1,), (1,))]
+    + [((d,), (d,)) for d in (340, 341, 342, 511, 512, 513)],   # D+1 at the chunk bounds
 )
 def test_conv_trunc_matches_degree_loop(p, sa, sb):
     rng = np.random.default_rng(len(sa) * 10 + sb[0])
@@ -204,6 +212,47 @@ def test_mat_powers_match_repeated_reference_products(p, n, k):
     for i in range(k + 1):
         assert np.array_equal(got[:, :, i], power)
         power = ref_mat_mul_mod(r, power, p)
+
+
+# (K, D+1) with K (D+1) = the contraction length of the largest output degree
+FACTORED = {340: (20, 17), 341: (11, 31), 342: (19, 18), 511: (7, 73), 512: (32, 16),
+            513: (27, 19), 682: (22, 31), 683: (683, 1)}
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("length", sorted(FACTORED))
+def test_all_p_minus_one_products_at_the_chunk_bounds(p, length):
+    """Every limb product, group and partial sum at its largest, with
+    contractions just below, at and just above one and two chunks."""
+    top = np.uint64(p - 1)
+    a, b = np.full((2, length), top), np.full((length, 3), top)
+    assert np.array_equal(mat_mul_mod(a, b, p), ref_mat_mul_mod(a, b, p))
+    k, dp1 = FACTORED[length]
+    pa, pb = np.full((2, k, dp1), top), np.full((k, 2, dp1), top)
+    assert _kernels._fits_one_block(2, k, 1, dp1)
+    assert np.array_equal(poly_mat_mul(pa, pb[:, :1], p), ref_poly_mat_mul(pa, pb[:, :1], p))
+    assert np.array_equal(
+        _kernels._poly_mat_mul_by_degree(pa, pb, p), ref_poly_mat_mul(pa, pb, p)
+    )
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_a_product_that_sums_to_p_reduces_to_zero(p):
+    """1 * 1 + 1 * (p - 1): its limb groups sum to p exactly, which the
+    last reduction must map to 0."""
+    a, b = np.ones((1, 2), dtype=np.uint64), np.array([[1], [p - 1]], dtype=np.uint64)
+    assert mat_mul_mod(a, b, p)[0, 0] == 0
+    pa, pb = a[:, :, None], b[:, :, None]
+    assert _kernels._poly_mat_mul_by_degree(pa, pb, p)[0, 0, 0] == 0
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n", [341, 342, 511, 512, 513])
+def test_mat_powers_of_an_all_p_minus_one_matrix(p, n):
+    r = np.full((n, n), p - 1, dtype=np.uint64)
+    got = mat_powers(r, 2, p)
+    assert np.array_equal(got[:, :, 1], r)
+    assert np.array_equal(got[:, :, 2], ref_mat_mul_mod(r, r, p))
 
 
 def test_unsupported_modulus_is_rejected():

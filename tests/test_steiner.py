@@ -225,7 +225,8 @@ def _grid(side):
 def test_block_closure_and_tree_equal_the_per_pair_closure(seed):
     rng = random.Random(seed)
     g = _grid(6)
-    terminals = rng.sample(range(36), 4)
+    # opposite corners, 10 apart, put a terminal pair beyond D from the start
+    terminals = [0, 35] + rng.sample(range(1, 35), 2)
 
     def make(cls):
         # D = 3 puts some terminal pairs beyond D, answered on the spanner
