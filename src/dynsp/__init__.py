@@ -43,7 +43,7 @@ from .graph import (
     validate_path,
 )
 from .estree import DECREMENTAL, INCREMENTAL, EsTree, ModeViolation
-from .inverse import DEFAULT_KAPPA, InverseState, SubmatrixView
+from .inverse import DEFAULT_KAPPA, InverseState
 from .polymat import EncodedAdjacency, encode
 from .reporter import BEYOND, NoWitnessFound, PathReporter
 from .ring import DEFAULT_PRIME, FieldParams, poly_inv

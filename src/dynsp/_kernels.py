@@ -62,7 +62,7 @@ conv_trunc has no caller in this package; it is kept as the tests'
 batched reference for truncated products.
 
 Degree-major layout.  A product too large for one Toeplitz block (the
-inverse's reset T(I+N), the H x H view correction) is contracted
+inverse's reset T(I+N), the exact APSP's H x H read) is contracted
 degree by degree.  a's limbs are laid out with columns (t, k), degree
 first, and b's with rows (D - t, k), degrees reversed, each split once
 per call.  Output degree d is then a column prefix of a, of length

@@ -2,21 +2,24 @@
 
 Exact flavor: short distances (<= D) come straight from the inverse's
 min-degrees; long distances are stitched through a random hitting set
-H that whp intersects every shortest path of length D/2.  The H x H
-submatrix of the inverse is maintained explicitly, turned into a small
-weighted graph, and closed with Floyd-Warshall (with a successor
-matrix for path reconstruction) after every update:
+H that whp intersects every shortest path of length D/2.  After every
+update one dist_block read over H x H gives the capped distances within
+H, a small weighted graph, and Floyd-Warshall closes a copy of it, for
+distances only:
 
     dist(i,j) = min(D^D_ij, min_{p,q in H} D^D_ip + fw(p,q) + D^D_qj)
 
-The closure's input, the capped H x H distances, is kept as well.  The
-view is updated exactly with every inverse update, so its rows and
-columns equal a fresh read, and a query reads only what it does not
-hold.  A distance reads nothing when both ends are in H, and otherwise
-one row block for an i outside H and one full column for a j outside
-H (that column also holds the short distance).  A path makes the same
-reads, plus one column block over the segments' far ends whose column
-it does not yet have: at most three reads, each walked hop by hop.
+The closure's input, the capped H x H distances, is kept as well; it
+equals a fresh read until the next update, so a query reads only what
+it does not hold.  A distance reads nothing when both ends are in H,
+and otherwise one row block for an i outside H and one full column for
+a j outside H (that column also holds the short distance).  A path
+makes the same reads, plus one column block over the segments' far
+ends whose column it does not yet have: at most three reads, each
+walked hop by hop.  Its waypoints within H follow the package's one
+successor rule (graph.descend) on the kept distances: from x towards
+q, the next waypoint is the smallest-index y != x with
+w(x, y) + fw(y, q) == fw(x, q).
 
 Approximate flavor: distances <= D are answered exactly by the
 reporter; anything longer falls back to BFS on a companion spanner,
@@ -32,7 +35,7 @@ import math
 
 import numpy as np
 
-from ._kernels import derive_seed, min_degree_arr
+from ._kernels import derive_seed
 from .graph import DynamicGraph, bfs_dist, bfs_path
 from .inverse import DEFAULT_KAPPA
 from .reporter import BEYOND, PathReporter
@@ -70,10 +73,8 @@ class HittingSetApsp:
             rng = np.random.default_rng(derive_seed(seed, 0x11))
             self.H = sorted(int(v) for v in rng.choice(n, size=target, replace=False))
         self._h_index = {v: a for a, v in enumerate(self.H)}
-        self.sub = self.pr.host.register_submatrix(self.H)
         self._w_hh: np.ndarray | None = None
         self.fw_dist: np.ndarray | None = None
-        self.fw_next: np.ndarray | None = None
         self._counts = dict.fromkeys(("stitched", "closure_answers", "stitch_failures"), 0)
         self._recompute_fw()
 
@@ -87,32 +88,25 @@ class HittingSetApsp:
         self.exact_update(ev)
 
     def _recompute_fw(self) -> None:
-        h = len(self.H)
-        md = min_degree_arr(self.sub.cached) if h else np.zeros((0, 0))
-        w = _capped(md, self.D)
-        if h:
-            np.fill_diagonal(w, 0.0)
+        """Read the H x H distances afresh and close a copy of them."""
+        w = _capped(self.pr.dist_block(self.H, self.H), self.D)
         w.flags.writeable = False
         self._w_hh = w  # the closure's input: distances within H, kept for queries
-        nxt = np.where(np.isfinite(w), np.arange(h)[None, :], -1)
-        if h:
-            np.fill_diagonal(nxt, np.arange(h))
-        for k in range(h):
-            alt = w[:, k, None] + w[None, k, :]
-            better = alt < w
-            if better.any():
-                w = np.where(better, alt, w)
-                nxt = np.where(better, nxt[:, k, None], nxt)
-        self.fw_dist, self.fw_next = w, nxt
+        fw = w.copy()
+        for k in range(len(self.H)):
+            np.minimum(fw, fw[:, k, None] + fw[None, k, :], out=fw)
+        self.fw_dist = fw
 
     def stats(self) -> dict[str, int]:
         """Deterministic counters of the work done since construction.
 
-        The path reporter's read counters, plus stitched for the queries
-        (distances and paths) whose answer came through H,
-        closure_answers for the distance queries between two distinct
-        vertices of H, answered from the kept closure without a read,
-        and stitch_failures for the queries that raised StitchFailure.
+        The path reporter's read counters, whose block_reads include the
+        one H x H read made at set-up and after every update, plus
+        stitched for the queries (distances and paths) whose answer came
+        through H, closure_answers for the distance queries between two
+        distinct vertices of H, answered from the kept closure without a
+        read, and stitch_failures for the queries that raised
+        StitchFailure.
         """
         return {**self.pr.stats(), **self._counts}
 
@@ -127,9 +121,9 @@ class HittingSetApsp:
         column_block([j]) read, whose full column is returned for the
         path walk (None when it was not read).  The short distance comes
         from the kept block, the column or the row, whichever holds it.
-        The kept block equals a fresh read because the H x H view is
-        updated exactly with every inverse update.  So a distance costs
-        at most two reads, and none when both ends are in H.
+        The kept block equals a fresh read because it is read after
+        every update.  So a distance costs at most two reads, and none
+        when both ends are in H.
         """
         D, H, w = self.D, self.H, self._w_hh
         a, b = self._h_index.get(i), self._h_index.get(j)
@@ -180,19 +174,15 @@ class HittingSetApsp:
             raise ValueError(f"({i}, {j}) disconnected")
         return path
 
-    def _fail(self, msg: str):
-        self._counts["stitch_failures"] += 1
-        raise StitchFailure(msg)
-
     def path(self, i: int, j: int):
         """A shortest i-j path; None when j is unreachable.
 
         The stitch's reads, plus one column_block over the far ends of
         the segments whose column it did not read: at most three reads.
         A short path walks column j; a stitched one takes the first
-        (p, q) in row-major order that attains the minimum, follows the
-        closure's successors from H[p] to H[q] and walks each segment
-        down its far end's column.
+        (p, q) in row-major order that attains the minimum, picks its
+        waypoints from H[p] to H[q] by the successor rule over the kept
+        distances and walks each segment down its far end's column.
         """
         if i == j:
             return [i]
@@ -203,20 +193,22 @@ class HittingSetApsp:
         if short == total:
             return pr.walk(col if col is not None else pr.column_block([j])[j], i, j)
         p, q = divmod(int(np.flatnonzero(cand == total)[0]), len(self.H))
+        w, to_q = self._w_hh, self.fw_dist[:, q]
         waypoints = [p]
-        while waypoints[-1] != q:
-            nxt = int(self.fw_next[waypoints[-1], q])
-            if nxt < 0:
-                self._fail(f"broken successor chain {p}->{q}")
-            waypoints.append(nxt)
-        stops = [i] + [self.H[w] for w in waypoints] + [j]
+        while waypoints[-1] != q:  # w(x, y) >= 1 for y != x: to_q falls at every step
+            x = waypoints[-1]
+            on_chain = w[x] + to_q == to_q[x]
+            on_chain[x] = False
+            waypoints.append(int(np.flatnonzero(on_chain)[0]))
+        stops = [i] + [self.H[x] for x in waypoints] + [j]
         segments = [(a, b) for a, b in zip(stops, stops[1:]) if a != b]
         cols = {} if col is None else {j: col}
         cols.update(pr.column_block(sorted({b for _a, b in segments} - cols.keys())))
         path = [i]
         for a, b in segments:
             if cols[b][a] > self.D:
-                self._fail(f"segment ({a}, {b}) exceeds D={self.D}")
+                self._counts["stitch_failures"] += 1
+                raise StitchFailure(f"segment ({a}, {b}) exceeds D={self.D}")
             path.extend(pr.walk(cols[b], a, b)[1:])
         return path
 

@@ -18,9 +18,10 @@ Exit statuses:
 
     0  success (for verify: every checked answer passed)
     1  verify found a wrong answer
-    2  usage error: bad arguments, unreadable or malformed input, an
-       event the structure does not take (a terminal event for an
-       edge-only structure), or --stats for a structure without stats()
+    2  usage error: bad arguments, unreadable or malformed input (a
+       query or terminal vertex outside [0, n) included), an event the
+       structure does not take (a terminal event for an edge-only
+       structure), or --stats for a structure without stats()
     3  the structure failed on a valid script: the Steiner terminals
        are disconnected (steiner.Disconnected), or a randomised
        witness search failed (reporter.NoWitnessFound,

@@ -302,10 +302,17 @@ def serialize_script(script: UpdateScript) -> str:
 
 
 def parse_script(text: str) -> UpdateScript:
+    """The script in the text format above.
+
+    Raises ValueError naming the line for a line that does not parse,
+    and for a query or terminal event whose vertex lies outside [0, n).
+    Edge lines are range-checked when the graph applies them.
+    """
     n = None
     directed = False
     initial: list[tuple[int, int]] = []
     events: list[Event] = []
+    vertex_lines = []  # (lineno, raw, vertices) of the queries and terminal events
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -340,8 +347,15 @@ def parse_script(text: str) -> UpdateScript:
                 raise ValueError(f"unknown tag {tag!r}")
         except (IndexError, ValueError) as exc:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}") from exc
+        if tag in ("QD", "QP", "T+", "T-"):
+            ev = events[-1]
+            vertex_lines.append((lineno, raw, [ev.v] if tag[0] == "T" else [ev.u, ev.v]))
     if n is None:
         raise ValueError("script is missing its N header line")
+    for lineno, raw, vertices in vertex_lines:
+        for v in vertices:
+            if not 0 <= v < n:
+                raise ValueError(f"line {lineno}: vertex {v} outside [0, {n}) in {raw!r}")
     return UpdateScript(n=n, directed=directed, initial_edges=initial, events=events)
 
 

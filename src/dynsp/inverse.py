@@ -24,8 +24,10 @@ with N = 0 and no update made.  Nothing divides by an integer, so any
 D >= 1 is legal, D >= p included.  Only min-degrees of entries are
 read downstream, so det M is not kept.
 
-A registered SubmatrixView keeps M^-1 on H x H by adding each update's
-correction, read against the inverse before the update.
+Reads.  query_rows is the one read: M^-1 on any rows x cols block, as
+T's block plus T[rows, nrows] N[nrows, cols].  query_col and query_full
+are that read on one column and on everything.  No block is kept
+between updates; a caller that needs one after every update reads it.
 """
 from __future__ import annotations
 
@@ -45,26 +47,6 @@ def _take(arr: np.ndarray, rows, cols) -> np.ndarray:
     if rows is None:
         return arr if cols is None else arr[:, cols]
     return arr[rows] if cols is None else arr[np.ix_(rows, cols)]
-
-
-class SubmatrixView:
-    """Explicitly maintained M^-1 restricted to H x H (low-rank updates)."""
-
-    __slots__ = ("host", "H", "cached")
-
-    def __init__(self, host: "InverseState", H) -> None:
-        self.host = host
-        self.H = sorted(set(H))
-        self.cached = host.query_rows(self.H)[:, self.H, :] if self.H else (
-            np.zeros((0, 0, host.D + 1), dtype=np.uint64)
-        )
-
-    def _apply(self, cols_h: np.ndarray, bprime_h: np.ndarray) -> None:
-        """cached += M^-1[H, U] B'[:, H], with M^-1 read before the update."""
-        if not self.H:
-            return
-        corr = poly_mat_mul(cols_h, bprime_h, self.host.p)
-        self.cached = add_mod(self.cached, corr, self.host.p)
 
 
 class InverseState:
@@ -87,25 +69,20 @@ class InverseState:
         self.N = np.zeros_like(self.T)
         self.nrows: list[int] = []
         self.updates_since_reset = 0
-        self._views: list[SubmatrixView] = []
         self._counts = dict.fromkeys(
             ("updates", "rank2_updates", "entries", "resets", "nrows_max"), 0
         )
 
-    # ---- registration ------------------------------------------------------
-
-    def register_submatrix(self, H) -> SubmatrixView:
-        view = SubmatrixView(self, H)
-        self._views.append(view)
-        return view
-
     # ---- queries -----------------------------------------------------------
 
-    def _block(self, rows, cols) -> np.ndarray:
+    def query_rows(self, rows, cols=None) -> np.ndarray:
         """M^-1[rows, cols] = T[rows, cols] + T[rows, nrows] N[nrows, cols].
 
-        rows and cols are index lists, or None for all of them.
+        rows and cols are iterables of indices, or None for all of them;
+        the result is a (len(rows), len(cols), D+1) array.
         """
+        rows = None if rows is None else list(rows)
+        cols = None if cols is None else list(cols)
         out = _take(self.T, rows, cols)
         if not self.nrows:
             return out.copy()
@@ -114,17 +91,13 @@ class InverseState:
         )
         return add_mod(out, extra, self.p)
 
-    def query_rows(self, rows) -> np.ndarray:
-        """M^-1 restricted to the given rows, as a (len(rows), n, D+1) array."""
-        return self._block(list(rows), None)
-
     def query_col(self, j: int, rows=None) -> np.ndarray:
         """Column j of M^-1, optionally restricted to the given rows."""
-        return self._block(None if rows is None else list(rows), [j])[:, 0]
+        return self.query_rows(rows, [j])[:, 0]
 
     def query_full(self) -> np.ndarray:
         """The entire maintained inverse T(I+N), densely."""
-        return self._block(None, None)
+        return self.query_rows(None)
 
     def stats(self) -> dict[str, int]:
         """Deterministic counters of the work done since construction.
@@ -147,14 +120,10 @@ class InverseState:
         # B = -u diag(r, back) (rows [j, i] of T(I+N)): each row one degree up, times -r
         neg_r = np.array([-x % p for x in scalars], dtype=np.uint64)[:, None, None]
         B = np.zeros((k, self.n, self.D + 1), dtype=np.uint64)
-        B[:, :, 1:] = mul_mod(neg_r, self._block(rows, None)[:, :, :-1], p)
+        B[:, :, 1:] = mul_mod(neg_r, self.query_rows(rows)[:, :, :-1], p)
         C = B[:, cols]
         C[range(k), range(k), 0] = 1
         bprime = poly_mat_mul(sub_mod(0, poly_inv(C, p), p), B, p)
-        # submatrix views see the rank-k correction against the OLD inverse
-        for view in self._views:
-            if view.H:
-                view._apply(self._block(view.H, cols), bprime[:, view.H])
         # N <- N + (N U + U) B'
         affected = sorted(set(self.nrows).union(cols))
         vec = _take(self.N, affected, cols)

@@ -166,7 +166,7 @@ class PathReporter:
 
     def _read(self, rows, cols) -> np.ndarray:
         """Min-degrees of M^-1[rows, cols] from one inverse read."""
-        md = min_degree_arr(self.host._block(rows, cols))
+        md = min_degree_arr(self.host.query_rows(rows, cols))
         self._counts["block_reads"] += 1
         self._counts["entries_read"] += md.size
         return md

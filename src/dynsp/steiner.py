@@ -14,16 +14,16 @@ edge (ApproxApsp.paths).  So an edge update with two or more terminals
 costs the provider two reads, plus a BFS on its spanner per closure
 row or path beyond D, and one with fewer costs none.  Overlapping
 expanded paths are counted once because the reported tree is a
-spanning tree of their union, extracted by BFS from the lowest-indexed
-terminal.
+spanning tree of their union: graph.bfs_tree from the lowest-indexed
+terminal, where each vertex hangs from its smallest-index neighbour one
+level closer, the successor rule every structure reports paths by.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 
 from .apsp import ApproxApsp
-from .graph import AddTerminal, DynamicGraph, RemoveTerminal
+from .graph import AddTerminal, DynamicGraph, RemoveTerminal, bfs_tree
 
 INF = math.inf
 
@@ -184,20 +184,12 @@ class SteinerState:
     def _rebuild_tree(self) -> SteinerTree:
         if len(self.S) <= 1:
             return SteinerTree(frozenset(self.S), frozenset())
-        union: dict[int, set[int]] = {}
+        union = DynamicGraph(self.provider.g.n)
         for path in self.provider.paths(self._mst_edges()):
             for x, y in zip(path, path[1:]):
-                union.setdefault(x, set()).add(y)
-                union.setdefault(y, set()).add(x)
-        root = min(self.S)
-        parent = {root: None}
-        q = deque([root])
-        while q:
-            u = q.popleft()
-            for v in sorted(union.get(u, ())):
-                if v not in parent:
-                    parent[v] = u
-                    q.append(v)
+                if not union.has_edge(x, y):
+                    union.insert_edge(x, y)
+        _level, parent = bfs_tree(union, min(self.S), union.n)
         missing = self.S - parent.keys()
         if missing:  # distances said connected, paths disagreed
             raise Disconnected(sorted([sorted(missing), sorted(self.S - missing)]))
@@ -205,4 +197,3 @@ class SteinerState:
             (v, p) if v < p else (p, v) for v, p in parent.items() if p is not None
         )
         return SteinerTree(frozenset(parent), edges)
-

@@ -288,8 +288,8 @@ def test_approx_stats_count_reads_fallbacks_and_rebuilds_and_repeat():
 
 
 class PerPairStitch(HittingSetApsp):
-    """HittingSetApsp reading every row, column and segment one query at a
-    time (the reference for the exact queries)."""
+    """HittingSetApsp reading every row, column, waypoint row and segment
+    one query at a time (the reference for the exact queries)."""
 
     def _stitch_terms(self, i, j):
         row = min_degree_arr(self.pr.host.query_rows([i])[0][self.H])
@@ -322,11 +322,13 @@ class PerPairStitch(HittingSetApsp):
         hits = np.argwhere(cand == total)
         p, q = min((int(a), int(b)) for a, b in hits)
         waypoints = [p]
-        while waypoints[-1] != q:
-            nxt = int(self.fw_next[waypoints[-1], q])
-            if nxt < 0:
-                raise StitchFailure(f"broken successor chain {p}->{q}")
-            waypoints.append(nxt)
+        while waypoints[-1] != q:  # the smallest-index waypoint on a shortest chain
+            x = waypoints[-1]
+            row, _col = self._stitch_terms(self.H[x], j)
+            waypoints.append(min(
+                y for y in range(len(self.H))
+                if y != x and row[y] + self.fw_dist[y, q] == self.fw_dist[x, q]
+            ))
         stops = [i] + [self.H[w] for w in waypoints] + [j]
         path = [i]
         for a, b in zip(stops, stops[1:]):
@@ -423,6 +425,58 @@ def test_exact_stats_count_stitches_and_closure_answers_and_repeat():
     assert stats["block_reads"] > 0 and stats["column_reads"] > 0
 
 
+def test_each_update_reads_the_hitting_set_block_once():
+    g = path_graph(40)
+    st = HittingSetApsp(g.copy(), 16, seed=6)
+    h = len(st.H)
+    assert h < g.n and st.stats()["block_reads"] == 1  # the set-up's read
+    for ev in random_events(g.copy(), random.Random(7), 8):
+        before = st.stats()
+        st.apply(ev)
+        after = st.stats()
+        assert after["block_reads"] - before["block_reads"] == 1
+        assert after["entries_read"] - before["entries_read"] == h * h
+
+
+def _tied_chains(w, fw, p, q):
+    """Every chain of H indices from p to q whose hops w add up to fw[p, q]."""
+    if p == q:
+        return [[q]]
+    return [
+        [p] + rest
+        for y in range(len(w))
+        if y != p and w[p, y] + fw[y, q] == fw[p, q]
+        for rest in _tied_chains(w, fw, y, q)
+    ]
+
+
+def test_tied_waypoint_chains_resolve_to_the_smallest_index_one():
+    g = ladder_graph(6)
+    st = HittingSetApsp(g.copy(), 2, seed=1)
+    assert st.H == list(range(12))  # waypoint indices are the vertices
+    i, j = 0, 11
+    w, fw = st._w_hh, st.fw_dist
+    cand = w[i][:, None] + fw + w[:, j][None, :]
+    p, q = min((int(a), int(b)) for a, b in np.argwhere(cand == cand.min()))
+    chains = _tied_chains(w, fw, p, q)
+
+    def stitched(chain):
+        stops = [i] + chain + [j]
+        path = [i]
+        for a, b in zip(stops, stops[1:]):
+            if a != b:
+                path.extend(bfs_path(g, a, b)[1:])
+        return path
+
+    assert len({tuple(stitched(c)) for c in chains}) > 1  # the chains tie on distinct paths
+    assert st.path(i, j) == stitched(min(chains)) == [0, 1, 3, 5, 7, 9, 11]
+    # a sampled H without vertex 1: the first waypoint after 0 is 2, the
+    # smallest-index one, though the path through 1 ties with it
+    st = HittingSetApsp(ladder_graph(20), 16, seed=2)
+    assert 1 not in st.H and {0, 2} <= set(st.H)
+    assert st.path(0, 35) == [0, 2, 3, *range(5, 36, 2)]
+
+
 def _stitched_pair():
     """A 12-path at D = 4, whose hitting set is every vertex: the pair
     (0, 11) is stitched, and its stitch reads nothing."""
@@ -444,13 +498,3 @@ def test_an_overstated_segment_column_raises_stitch_failure(monkeypatch):
         st.exact_path(0, 11)
     assert st.exact_dist(0, 11) == 11.0  # the distance reads no column
     assert st.stats()["stitch_failures"] == 1
-
-
-def test_a_broken_successor_chain_raises_stitch_failure():
-    st = _stitched_pair()
-    st.fw_next = np.full_like(st.fw_next, -1)
-    with pytest.raises(StitchFailure, match="broken successor chain"):
-        st.path(0, 11)
-    assert st.stats()["stitch_failures"] == 1
-    st.apply(InsertEdge(0, 11))  # the closure and its successors are rebuilt
-    assert st.path(0, 11) == [0, 11]

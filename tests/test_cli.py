@@ -363,6 +363,21 @@ def test_terminal_events_on_edge_only_structures_exit_2(tmp_path, capsys, comman
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("line", ["QP -1 1", "QD 0 5", "QP 5 0", "T+ 5", "T- -1"])
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_query_and_terminal_vertices_outside_the_graph_exit_2(tmp_path, capsys, structure, line):
+    script = tmp_path / "outside.txt"
+    script.write_text(f"N 5 0\nE 0 1\nE 1 2\nE 2 3\nE 3 4\nQD 0 4\n{line}\nQP 0 4\n")
+    bad = next(v for v in map(int, line.split()[1:]) if not 0 <= v < 5)
+    out = tmp_path / "out.csv"
+    for command in ("run", "verify", "bench"):
+        argv = [command, "--structure", structure, "--script", str(script), "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: line 7: vertex {bad} outside [0, 5) in {line!r}\n"
+        assert captured.out == "" and not out.exists()
+
+
 def test_directed_script_paths_follow_arcs(tmp_path, capsys):
     script = tmp_path / "directed.txt"
     script.write_text("N 4 1\nE 0 1\nE 1 2\nE 2 0\nE 0 3\nQP 1 3\nQD 1 3\nQP 3 0\nD 2 0\nQP 1 3\n")

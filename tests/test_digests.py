@@ -9,21 +9,31 @@ before the limb products went from nine to six), so a kernel or
 inverse refactor that changes any answer, at any update, fails here.
 T and N themselves are not pinned: only the inverse they represent is.
 
+The exact-APSP stream replays chord updates on a cycle through a
+HittingSetApsp whose hitting set is a strict subset of the vertices,
+and pins exact_dist_matrix after every update in one digest and a few
+stitched paths in another.  The distance digest was taken while the
+closure still read a maintained H x H view of the inverse; the path
+digest pins which of several tied shortest paths the waypoint rule
+reports.
+
 At n = 48 the resets and full reads multiply (48, |nrows|, D+1) by
 (|nrows|, 48, D+1), a product too large for one Toeplitz block.  The
 p = 5 stream pins a prime whose entries fit in three bits, where sums
 cancel mod p often; D = 24 is the apsp-ring degree bound.
 """
 
+import functools
 import hashlib
 import random
 
 import numpy as np
 import pytest
 
-from dynsp import _kernels
+from dynsp import _kernels, reporter
 from dynsp._kernels import MERSENNE61
-from dynsp.graph import DynamicGraph
+from dynsp.apsp import HittingSetApsp
+from dynsp.graph import DeleteEdge, DynamicGraph, InsertEdge, all_pairs_dist, validate_path
 from dynsp.reporter import PathReporter
 from dynsp.ring import FieldParams
 
@@ -107,3 +117,69 @@ def test_tiny_prime_and_large_bound_streams_match_their_pins(directed, p, d):
     stats = pr.host.stats()
     assert stats["resets"] >= 3
     assert not _kernels._fits_one_block(N, stats["nrows_max"], N, d + 1)
+
+
+RING_N, RING_D, RING_CHORDS, RING_UPDATES = 64, 24, 6, 40
+
+APSP_PINS = {  # p: (exact_dist_matrix digest, stitched paths digest)
+    MERSENNE61: (
+        "8b95d2c682394de5f2c6078b686d0e0382933bddf51c6f532fddd720376ee5a3",
+        "72916ccc53b4309bfb24b935ab050fb5d506b4a206c8ef3f4aaed9b5ba4cdd7d",
+    ),
+    10007: (
+        "24cd0125177cba05a5f10051773520aef32096b945446c5b45f0cbab9a4314b3",
+        "d9ab921922b52123e1cd5a79178eee0cba60278672462ad911750bb7e5cec699",
+    ),
+}
+
+
+def replay_apsp(p, monkeypatch):
+    """A HittingSetApsp over the field of p after a fixed chord stream on a
+    cycle, and its running distance and path digests."""
+    # the structure takes the default field; the stream swaps in p
+    monkeypatch.setattr(reporter, "FieldParams", functools.partial(FieldParams, p))
+    rng = random.Random(f"digest/apsp/{p}")
+    g = DynamicGraph(RING_N)
+    for v in range(RING_N):
+        g.insert_edge(v, (v + 1) % RING_N)
+    chords = []
+
+    def new_chord():
+        while True:
+            u = rng.randrange(RING_N)
+            v = (u + rng.randint(2, 4)) % RING_N
+            if not g.has_edge(u, v):
+                return min(u, v), max(u, v)
+
+    while len(chords) < RING_CHORDS:
+        chords.append(new_chord())
+        g.insert_edge(*chords[-1])
+    st = HittingSetApsp(g.copy(), RING_D, seed=5)
+    dist, paths = hashlib.sha256(), hashlib.sha256()
+    for _ in range(RING_UPDATES):
+        if len(chords) >= RING_CHORDS:
+            ev = DeleteEdge(*chords.pop(rng.randrange(len(chords))))
+            g.delete_edge(ev.u, ev.v)
+        else:
+            chords.append(new_chord())
+            ev = InsertEdge(*chords[-1])
+            g.insert_edge(ev.u, ev.v)
+        st.apply(ev)
+        mat = st.exact_dist_matrix()
+        assert mat.tolist() == all_pairs_dist(g)
+        dist.update(mat.astype("<f8").tobytes())
+        far = [(i, j) for i, j in np.argwhere(mat > RING_D).tolist() if mat[i, j] < np.inf]
+        for i, j in rng.sample(far, min(4, len(far))):
+            path = st.exact_path(i, j)
+            assert path[0] == i and path[-1] == j and len(path) - 1 == mat[i, j]
+            assert validate_path(g, path)
+            paths.update(("-".join(map(str, path)) + "\n").encode())
+    return st, dist.hexdigest(), paths.hexdigest()
+
+
+@pytest.mark.parametrize("p", list(APSP_PINS))
+def test_exact_apsp_distances_and_stitched_paths_match_their_pins(p, monkeypatch):
+    st, dist, paths = replay_apsp(p, monkeypatch)
+    assert st.pr.params.p == p
+    assert len(st.H) < RING_N and st.stats()["stitched"] > 0
+    assert (dist, paths) == APSP_PINS[p]

@@ -115,6 +115,18 @@ def test_parse_rejects_garbage():
         parse_script("N 4 0\nI 1\n")
 
 
+@pytest.mark.parametrize("line", ["QD -1 2", "QD 0 4", "QP 4 0", "QP 1 -1", "T+ 4", "T- -1"])
+def test_parse_rejects_query_and_terminal_vertices_outside_the_graph(line):
+    text = f"N 4 0\nE 0 1\nQD 0 3\nT+ 3\n{line}\n"
+    bad = next(v for v in map(int, line.split()[1:]) if not 0 <= v < 4)
+    with pytest.raises(ValueError) as err:
+        parse_script(text)
+    assert str(err.value) == f"line 5: vertex {bad} outside [0, 4) in {line!r}"
+    # in range, the same line parses; the header may follow the events
+    fixed = line.replace("-1", "3").replace("4", "3")
+    assert len(parse_script(f"QD 0 3\n{fixed}\nN 4 0\n").events) == 2
+
+
 def test_validate_path():
     g = DynamicGraph(4)
     g.insert_edge(0, 1)

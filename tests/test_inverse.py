@@ -46,6 +46,9 @@ def test_query_forms_agree():
         full = st.query_full()
         rows = st.query_rows([2, 5, 7])
         assert np.array_equal(rows, full[[2, 5, 7]])
+        block = st.query_rows(range(1, 4), (6, 0))
+        assert np.array_equal(block, full[np.ix_([1, 2, 3], [6, 0])])
+        assert np.array_equal(st.query_rows(None, [3]), full[:, [3]])
         col = st.query_col(4)
         assert np.array_equal(col, full[:, 4])
         assert np.array_equal(st.query_col(6, rows=[3, 8]), full[[3, 8], 6])
@@ -63,16 +66,6 @@ def test_bootstrap_from_nonempty_graph():
     assert np.array_equal(st.query_full(), series_inverse(a, SMALL_P))
 
 
-def test_submatrix_view_tracks_host():
-    H = [1, 3, 4]
-    stream = run_updates(7, 4, seed=5, steps=35)
-    st, _ = next(stream)
-    view = st.register_submatrix(H)
-    for st, _ in stream:
-        full = st.query_full()
-        assert np.array_equal(view.cached, full[np.ix_(H, H)])
-
-
 def test_reset_period_scaling():
     g = DynamicGraph(16)
     st = InverseState(encode(g, FieldParams(rng_seed=0), 3))
@@ -87,15 +80,15 @@ def test_kappa_without_a_finite_reset_scale_is_rejected(kappa):
         InverseState(encode(DynamicGraph(16), FieldParams(rng_seed=0), 3), kappa)
 
 
-def _pair_states(n, D, p, period, H, seed):
-    """Two empty-graph states on one encoding, each with a view."""
+def _pair_states(n, D, p, period, seed):
+    """Two empty-graph states on one encoding."""
     # round(n^kappa) == period, so the reset period does not depend on n
     kappa = math.log(period) / math.log(n)
     out = []
     for _ in range(2):
         host = InverseState(encode(DynamicGraph(n), FieldParams(p=p, rng_seed=seed), D), kappa)
         assert host.reset_period == period
-        out.append((host, host.register_submatrix(H)))
+        out.append(host)
     return out
 
 
@@ -109,15 +102,12 @@ def _pair_states(n, D, p, period, H, seed):
 @settings(max_examples=25, deadline=None)
 def test_pair_update_equals_two_rank_one_updates(n, D, p, period, data):
     """Odd reset periods put the rank-1 replay's resets inside pairs."""
-    H = data.draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True), label="H")
     stream = data.draw(
         st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
                  .filter(lambda e: e[0] != e[1]), min_size=1, max_size=12),
         label="stream",
     )
-    (pair, pair_view), (single, single_view) = _pair_states(
-        n, D, p, period, H, seed=n * D + period
-    )
+    pair, single = _pair_states(n, D, p, period, seed=n * D + period)
     present = set()
     for u, v in stream:
         edge = (min(u, v), max(u, v))
@@ -131,7 +121,6 @@ def test_pair_update_equals_two_rank_one_updates(n, D, p, period, data):
         assert np.array_equal(full, single.query_full())
         both = [(a, b) for e in present for a, b in (e, e[::-1])]
         assert np.array_equal(full, series_inverse(adjacency(pair.A, both), p))
-        assert np.array_equal(pair_view.cached, single_view.cached)
     assert pair.stats()["entries"] == single.stats()["entries"] == 2 * len(stream)
     assert pair.stats()["rank2_updates"] == len(stream)
     assert single.stats()["rank2_updates"] == 0
@@ -228,7 +217,6 @@ def test_closed_form_setup_equals_replayed_edges(n, D, p, directed, kappa, data)
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges")
     stream = data.draw(st.lists(st.sampled_from(pairs), max_size=8), label="stream")
-    H = data.draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True), label="H")
     seed = data.draw(st.integers(0, 2**32), label="seed")
     params = FieldParams(p=p, rng_seed=seed)
     sides = []
@@ -236,19 +224,18 @@ def test_closed_form_setup_equals_replayed_edges(n, D, p, directed, kappa, data)
         pr = PathReporter(graph_of(n, edges, directed), D, kappa, params=params)
         if replay:
             pr.host = _replayed(pr.g, params, D, kappa)
-        sides.append((pr, pr.host.register_submatrix(H)))
-    (closed, closed_view), (oracle, oracle_view) = sides
+        sides.append(pr)
+    closed, oracle = sides
     assert closed.host.stats()["updates"] == 0
 
     def check():
         assert np.array_equal(closed.host.query_full(), oracle.host.query_full())
-        blocks = [pr.dist_block(range(n), range(n)) for pr, _ in sides]
+        blocks = [pr.dist_block(range(n), range(n)) for pr in sides]
         assert np.array_equal(*blocks)
-        assert np.array_equal(closed_view.cached, oracle_view.cached)
 
     check()
     for u, v in stream:
-        for pr, _ in sides:
+        for pr in sides:
             (pr.pr_delete if pr.g.has_edge(u, v) else pr.pr_insert)(u, v)
         check()
 

@@ -182,7 +182,7 @@ def test_only_products_of_several_toeplitz_blocks_go_by_degree():
     fits = _kernels._fits_one_block
     assert not fits(72, 10, 72, 25)     # the apsp-ring reset
     assert not fits(128, 14, 128, 9)    # the reporter-gnp reset
-    assert not fits(52, 2, 52, 25)      # the apsp-ring H x H view correction
+    assert not fits(52, 2, 52, 25)      # the apsp-ring H x H read, two rows in N
     assert fits(1, 10, 52, 25)          # one row of the inverse
     assert fits(14, 14, 128, 9)         # 14 rows of the inverse
     assert fits(128, 14, 1, 9) and fits(1, 14, 128, 9)
