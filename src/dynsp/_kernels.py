@@ -48,7 +48,8 @@ along the LAST axis of an array; leading axes broadcast.
 Toeplitz layout.  A truncated product of polynomials is a contraction
 too.  A polynomial b becomes the (D+1) x (D+1) Toeplitz matrix whose
 entry (s, d) is b's coefficient of degree d - s, zero when d < s; a
-row vector of a's coefficients times it is a b mod u^(D+1).  So
+row vector of a's coefficients times it is a b mod u^(D+1).  It is one
+gather from b padded with D zeros, through an index cached per D.  So
 conv_trunc is one limb product.  poly_mat_mul of (n, K, D+1) by
 (K, m, D+1) with n >= m (else it multiplies the transposes) takes
 this layout when b fits in one Toeplitz block (see the entry budget):
@@ -63,15 +64,30 @@ batched reference for truncated products.
 
 Degree-major layout.  A product too large for one Toeplitz block (the
 inverse's reset T(I+N), the exact APSP's H x H read) is contracted
-degree by degree.  a's limbs are laid out with columns (t, k), degree
+degree by degree.  a's limbs are laid out with rows (t, k), degree
 first, and b's with rows (D - t, k), degrees reversed, each split once
-per call.  Output degree d is then a column prefix of a, of length
-(d + 1) K, against a row suffix of b: slices, so nothing is copied and
-no Toeplitz zero is multiplied.  The limb products are folded over
-blocks of whole output degrees; each block re-forms the limb sums over
-the columns of a and rows of b that it reads, in the one sum slot of
-each operand.  A contraction longer than _CHUNK is folded chunk by
-chunk and the chunks added mod p.
+per call.  Output degree d is then a row prefix of a, of length
+(d + 1) K and multiplied transposed, against a row suffix of b:
+contiguous slices, so nothing is copied and no Toeplitz zero is
+multiplied.  The limb products are folded over blocks of whole output
+degrees; each block re-forms the limb sums over the rows of a and b
+that it reads, in the one sum slot of each operand.  A contraction
+longer than _CHUNK is folded chunk by chunk and the chunks added mod p.
+
+Accumulating form.  poly_mat_mul_add(c, a, b, p) sets c <- c + a b mod
+p in place, and poly_mat_mul is that form on zeros.  c may be a strided
+view, so the inverse adds its reset into T itself and its reads into
+the block of T it gathers.  Each fold block is added into c as soon as
+it is folded, so no array of c's size is ever allocated.
+
+Scratch.  The limb stacks, the fold's float slots and the folded block
+live in per-thread buffers (_Scratch) that grow to the largest call and
+are reused by every later one.  Allocated per call, they cost more
+than their size: glibc serves blocks this large with mmap unless a
+larger block was freed before, and with the reset in place no T-sized
+array is ever freed, so every call mapped them afresh and faulted its
+pages in (314 minor faults per apsp-ring update on average, against 5
+with the scratch kept).
 
 Entry budget.  A Toeplitz block of g outer entries has K (D+1) rows
 and g (D+1) columns, and its output n g (D+1) entries; b fits in one
@@ -79,14 +95,17 @@ block when both stay within _EXPAND_BUDGET entries for g = m, or when
 m = 1.  The degree-major path keeps the limbs of both operands and one
 sum slot each, four times their size, and folds g output degrees at a
 time, with g n m <= max(_EXPAND_BUDGET, n m) entries in each of its six
-fold buffers (five float slots and the result), allocated once per
-call.  So the extra memory of one call is a few times the operands and
-the output, and does not grow with a Toeplitz expansion.
+fold buffers (five float slots and the folded block).  So the scratch
+one call needs is a few times the operands plus one fold block, and
+does not grow with c or with a Toeplitz expansion.
 """
 from __future__ import annotations
 
+import math
+import threading
+from functools import lru_cache
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 MERSENNE61 = (1 << 61) - 1
 
@@ -98,6 +117,34 @@ _LOW52 = np.uint64((1 << 52) - 1)
 _ROT_LEFT = np.array([_LIMB_BITS, 2 * _LIMB_BITS], dtype=np.uint64)
 _ROT_RIGHT = np.uint64(61) - _ROT_LEFT
 _EXPAND_BUDGET = 1 << 14  # entries of one Toeplitz block, or of one degree-major fold
+
+
+class _Scratch(threading.local):
+    """The products' working buffers, one per role, kept from call to call
+    in each thread.
+
+    take(role, shape) returns the leading entries of the role's buffer in
+    that shape, growing it first when it is too small; it never shrinks.
+    Each product takes a role at most once, overwrites what it takes
+    before reading it and returns nothing that lies in it, so no value
+    passes from one call to the next.  The roles are "a" and "b" for the
+    operands' limb stacks, "part" for the fold's float slots, and "acc",
+    "chunk" and "flip" (uint64) for folded results that are added
+    elsewhere.
+    """
+
+    def __init__(self) -> None:
+        self.bufs: dict[str, np.ndarray] = {}
+
+    def take(self, role: str, shape, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        if role not in self.bufs or self.bufs[role].size < size:
+            self.bufs.pop(role, None)           # free the old buffer before the new one
+            self.bufs[role] = np.empty(size, dtype)
+        return self.bufs[role][:size].reshape(shape)
+
+
+_scratch = _Scratch()
 
 
 def supported_prime(p: int) -> bool:
@@ -152,14 +199,15 @@ def _limb_count(p: int) -> int:
     raise ValueError(f"unsupported modulus {p}")
 
 
-def _limbs_f64(a, count: int):
+def _limbs_f64(a, count: int, role: str):
     """Split uint64 entries (< p) into `count` 21-bit limbs as float64.
 
-    Returns (count + 1,) + a.shape: the limbs, then one slot for limb
-    sums.  With two limbs the slot holds a0 + a1; with three it is
-    scratch, which _fold fills with one pair's sum at a time.
+    Returns (count + 1,) + a.shape in the scratch role's buffer: the
+    limbs, then one slot for limb sums.  With two limbs the slot holds
+    a0 + a1; with three it is scratch, which _fold fills with one pair's
+    sum at a time.  a may be any strided view; the stack is contiguous.
     """
-    out = np.empty((count + 1,) + a.shape)
+    out = _scratch.take(role, (count + 1,) + a.shape)
     limb = out[count].view(np.uint64)           # the sum slot, until the sums
     for i in range(count):
         np.right_shift(a, np.uint64(_LIMB_BITS * i), out=limb)
@@ -184,19 +232,19 @@ def _as_uint64(x):
     return out
 
 
-def _fold_buffers(shape, count):
-    """_fold's float slots and its uint64 result, for outputs of shape."""
-    return np.empty((3 if count == 2 else 5,) + shape), np.empty(shape, dtype=np.uint64)
+def _fold_part(shape, count):
+    """_fold's float slots for outputs of shape, from the scratch."""
+    return _scratch.take("part", (3 if count == 2 else 5,) + shape)
 
 
 def _fold(mul, add_sums, part, acc, p):
     """Exact sum_(i,j) a_i b_j 2^(21 (i + j)) mod p, written into acc.
 
-    part and acc come from _fold_buffers (or are views of the same
-    leading entries of them).  mul(s, out) writes the float64 products
-    of the operands' limb slots s (an index or a slice of their stacks)
-    into out; add_sums(i, j) fills both operands' sum slot with limbs
-    i + j.  Two limbs take the products P00, P11 and
+    part comes from _fold_part (or is a view of the same leading entries
+    of it), and acc has the output's shape; any strided view will do.
+    mul(s, out) writes the float64 products of the operands' limb slots
+    s (an index or a slice of their stacks) into out; add_sums(i, j)
+    fills both operands' sum slot with limbs i + j.  Two limbs take the products P00, P11 and
     Q01 = (a0 + a1)(b0 + b1), combined by Horner's rule.  Three limbs
     take P00, P11, P22 and the Q of each pair, wrapped into the groups
     G0, G1, G2 of shifts 0, 21 and 42 in float, then converted, rotated
@@ -261,20 +309,24 @@ def _add_mod_into(x, y, p):
     np.minimum(x, y, out=x)
 
 
-def _mat_mul_chunked(af, bf, p):
+def _mat_mul_chunked(af, bf, p, out=None):
     """Exact (A @ B) mod p from limb stacks (L + 1, ..., n, K) and
     (L + 1, ..., K, m), in contraction chunks of _CHUNK.
 
-    Leading axes broadcast as in np.matmul.  With three limbs, both
-    stacks' sum slots are overwritten.
+    Leading axes broadcast as in np.matmul.  The result is written into
+    out, a new array when None.  With three limbs, both stacks' sum
+    slots are overwritten.
     """
     lead = np.broadcast_shapes(af.shape[1:-2], bf.shape[1:-2])
     shape = lead + (af.shape[-2], bf.shape[-1])
+    if out is None:
+        out = np.empty(shape, dtype=np.uint64)
     k = af.shape[-1]
     if k == 0:
-        return np.zeros(shape, dtype=np.uint64)
-    part, out = _fold_buffers(shape, af.shape[0] - 1)
-    chunk = np.empty_like(out) if k > _CHUNK else None
+        out[...] = 0
+        return out
+    part = _fold_part(shape, af.shape[0] - 1)
+    chunk = _scratch.take("chunk", shape, np.uint64) if k > _CHUNK else None
     for lo in range(0, k, _CHUNK):
         a, b = af[..., lo : lo + _CHUNK], bf[..., lo : lo + _CHUNK, :]
 
@@ -291,45 +343,57 @@ def _mat_mul_chunked(af, bf, p):
     return out
 
 
+@lru_cache(maxsize=32)
+def _toeplitz_index(dp1):
+    """idx[s, d] = D - s + d, read-only: the gather index of _toeplitz."""
+    s = np.arange(dp1)
+    idx = (dp1 - 1) - s[:, None] + s
+    idx.flags.writeable = False
+    return idx
+
+
 def _toeplitz(b):
-    """The Toeplitz form of b's polynomials, as a strided view.
+    """The Toeplitz form of b's polynomials.
 
     b: (..., D+1) -> (..., D+1, D+1), where entry [s, d] is the
     coefficient of degree d - s, zero when d < s: a row vector of
-    coefficients times it is the truncated product with b.
+    coefficients times it is the truncated product with b.  One gather
+    from b padded with D zeros in front.
     """
     dp1 = b.shape[-1]
     pad = np.zeros(b.shape[:-1] + (2 * dp1 - 1,), dtype=np.uint64)
     pad[..., dp1 - 1 :] = b                     # pad[..., D + t] = b[..., t]
-    win = sliding_window_view(pad, dp1, axis=-1)
-    return win[..., ::-1, :]                    # [s, d] = pad[..., D - s + d]
+    return pad[..., _toeplitz_index(dp1)]
 
 
-def mat_mul_mod(a, b, p, a_limbs=None):
+def mat_mul_mod(a, b, p, a_limbs=None, out=None):
     """Exact (a @ b) mod p for 2-D uint64 arrays with entries < p.
 
     a_limbs, when given, is a's limb stack from _limbs_f64, split once
-    by a caller that multiplies a by several matrices.
+    by a caller that multiplies a by several matrices.  out, when given,
+    receives the product and may be any strided view; else it is new.
     """
     count = _limb_count(p)
     if a_limbs is None:
-        a_limbs = _limbs_f64(a, count)
-    return _mat_mul_chunked(a_limbs, _limbs_f64(b, count), p)
+        a_limbs = _limbs_f64(a, count, "a")
+    return _mat_mul_chunked(a_limbs, _limbs_f64(b, count, "b"), p, out)
 
 
 def mat_powers(r, k, p):
     """r^0, ..., r^k mod p for a square uint64 r and k >= 1, stacked along a
     last axis.
 
-    k - 1 chained products r r^(i-1); r is split into limbs once for all.
+    k - 1 chained products r r^(i-1), each folded straight into its slot
+    of the result; r is split into limbs once for all.
     """
     n = r.shape[0]
+    count = _limb_count(p)
     out = np.zeros((n, n, k + 1), dtype=np.uint64)
     out[np.arange(n), np.arange(n), 0] = 1
-    r_limbs = _limbs_f64(r, _limb_count(p))
-    power = out[:, :, 1] = r
+    out[:, :, 1] = r
+    r_limbs = _limbs_f64(r, count, "a")
     for i in range(2, k + 1):
-        power = out[:, :, i] = mat_mul_mod(r, power, p, r_limbs)
+        mat_mul_mod(r, out[:, :, i - 1], p, r_limbs, out[:, :, i])
     return out
 
 
@@ -340,8 +404,8 @@ def conv_trunc(a, b, p):
     if b.shape[-1] != a.shape[-1]:
         raise ValueError("degree bounds differ")
     count = _limb_count(p)
-    row = _limbs_f64(a, count)[..., None, :]    # (L, ..., 1, D+1)
-    return _mat_mul_chunked(row, _limbs_f64(_toeplitz(b), count), p)[..., 0, :]
+    row = _limbs_f64(a, count, "a")[..., None, :]    # (L, ..., 1, D+1)
+    return _mat_mul_chunked(row, _limbs_f64(_toeplitz(b), count, "b"), p)[..., 0, :]
 
 
 def _fits_one_block(n, k, m, dp1):
@@ -359,73 +423,102 @@ def poly_mat_mul(a, b, p):
     """Truncated-polynomial matrix product.
 
     a: (n, K, D+1), b: (K, m, D+1) -> (n, m, D+1), where
-    out[x, y, d] = sum_k sum_(t <= d) a[x, k, t] * b[k, y, d - t].
-    A product that fits in one Toeplitz block (_fits_one_block) is one
-    mat_mul_mod of a, flattened to columns (k, s), against b in
-    block-Toeplitz form, or of b's transpose against a's when n < m.
-    A larger one is contracted degree by degree (_poly_mat_mul_by_degree),
-    with no Toeplitz zeros.
+    out[x, y, d] = sum_k sum_(t <= d) a[x, k, t] * b[k, y, d - t]:
+    poly_mat_mul_add into zeros.
+    """
+    out = np.zeros((a.shape[0], b.shape[1], a.shape[2]), dtype=np.uint64)
+    return poly_mat_mul_add(out, a, b, p)
+
+
+def poly_mat_mul_add(c, a, b, p):
+    """c <- (c + a b) mod p in place, for a: (n, K, D+1), b: (K, m, D+1) and
+    c: (n, m, D+1), all with entries < p; returns c.
+
+    c may be any strided view, and must share no memory with a or b.  A
+    product that fits in one Toeplitz block (_fits_one_block) is one
+    modular matmul (_poly_mat_mul_one_block); a larger one is contracted
+    degree by degree (_poly_mat_mul_by_degree), with no Toeplitz zeros.
+    Either way the folded result is added into c block by block, so no
+    array of c's size is allocated.
     """
     n, k, dp1 = a.shape
     m = b.shape[1]
-    if b.shape[0] != k or b.shape[2] != dp1:
+    if b.shape[0] != k or b.shape[2] != dp1 or c.shape != (n, m, dp1):
         raise ValueError("shape mismatch")
-    if n < m:
+    if n and m and k:
+        if _fits_one_block(n, k, m, dp1):
+            _poly_mat_mul_one_block(c, a, b, p)
+        else:
+            _poly_mat_mul_by_degree(c, a, b, p)
+    return c
+
+
+def _poly_mat_mul_one_block(c, a, b, p):
+    """c <- c + a b as one modular matmul of a, flattened to columns
+    (k, s), against b in block-Toeplitz form, or of b's transpose against
+    a's when n < m, so that the operand with fewer outer entries is the
+    one expanded."""
+    n, k, dp1 = a.shape
+    m = b.shape[1]
+    flip = n < m
+    if flip:
         # the ring is commutative, so a b = (b^T a^T)^T: expand a instead
-        out = poly_mat_mul(b.transpose(1, 0, 2), a.transpose(1, 0, 2), p)
-        return np.ascontiguousarray(out.transpose(1, 0, 2))
-    if m == 0:
-        return np.empty((n, m, dp1), dtype=np.uint64)
-    if not _fits_one_block(n, k, m, dp1):
-        return _poly_mat_mul_by_degree(a, b, p)
+        a, b, n, m = b.transpose(1, 0, 2), a.transpose(1, 0, 2), m, n
     block = _toeplitz(b).transpose(0, 2, 1, 3).reshape(k * dp1, m * dp1)  # (k, s) x (y, d)
-    return mat_mul_mod(a.reshape(n, k * dp1), block, p).reshape(n, m, dp1)
+    acc = _scratch.take("acc", (n, m * dp1), np.uint64)
+    mat_mul_mod(a.reshape(n, k * dp1), block, p, out=acc)
+    acc = acc.reshape(n, m, dp1)
+    if flip:
+        # one copy into c's order: numpy buffers every pass over mixed layouts
+        flipped = _scratch.take("flip", (m, n, dp1), np.uint64)
+        np.copyto(flipped, acc.transpose(1, 0, 2))
+        acc = flipped
+    _add_mod_into(c, acc, p)
 
 
-def _poly_mat_mul_by_degree(a, b, p):
-    """poly_mat_mul as one contraction per output degree, for n >= m >= 1.
+def _poly_mat_mul_by_degree(c, a, b, p):
+    """c <- c + a b as one contraction per output degree, for n, m >= 1.
 
-    a's limbs have columns (t, k), degree first, and b's limbs rows
-    (D - t, k), degrees reversed, so output degree d is a column prefix
-    of a, of length (d + 1) K, against a row suffix of b: slices, with
-    no copy and no Toeplitz zero.  The limb partials are folded over
-    blocks of whole output degrees, g n m <= max(_EXPAND_BUDGET, n m)
-    entries each; a contraction longer than _CHUNK is folded in chunks.
+    a's limbs have rows (t, k), degree first, and b's limbs rows
+    (D - t, k), degrees reversed, so output degree d is a row prefix of
+    a, of length (d + 1) K and multiplied transposed, against a row
+    suffix of b: contiguous slices, with no copy and no Toeplitz zero.
+    The limb partials are folded over blocks of whole output degrees,
+    g n m <= max(_EXPAND_BUDGET, n m) entries each, and each block is
+    added into c's degrees at once; a contraction longer than _CHUNK is
+    folded in chunks.
     """
     n, k, dp1 = a.shape
     m = b.shape[1]
     count = _limb_count(p)
-    af = _limbs_f64(a.transpose(0, 2, 1), count).reshape(count + 1, n, dp1 * k)
-    bf = _limbs_f64(b[:, :, ::-1].transpose(2, 0, 1), count).reshape(count + 1, dp1 * k, m)
-    out = np.zeros((n, m, dp1), dtype=np.uint64)
-    g = max(1, _EXPAND_BUDGET // (n * m))               # output degrees per fold
-    part, acc = _fold_buffers((min(g, dp1), n, m), count)
+    af = _limbs_f64(a.transpose(2, 1, 0), count, "a").reshape(count + 1, dp1 * k, n)
+    bf = _limbs_f64(b[:, :, ::-1].transpose(2, 0, 1), count, "b").reshape(count + 1, dp1 * k, m)
+    g = min(dp1, max(1, _EXPAND_BUDGET // (n * m)))     # output degrees per fold
+    part = _fold_part((g, n, m), count)
+    acc = _scratch.take("acc", (g, n, m), np.uint64)
     for lo_d in range(0, dp1, g):
         hi_d = min(lo_d + g, dp1)
         for lo in range(0, hi_d * k, _CHUNK):
             first = max(lo_d, lo // k)                  # degrees whose contraction passes lo
-            # the columns of a, and the rows of b, that these degrees read
-            a_cols = slice(lo, min(lo + _CHUNK, hi_d * k))
+            # the rows of a, and of b, that these degrees read
+            a_rows = slice(lo, min(lo + _CHUNK, hi_d * k))
             b_rows = slice((dp1 - hi_d) * k + lo, min((dp1 - 1 - first) * k + lo + _CHUNK, dp1 * k))
 
             def mul(s, o):
                 for slot, d in enumerate(range(first, hi_d)):
                     hi = min(lo + _CHUNK, (d + 1) * k)
                     off = (dp1 - 1 - d) * k             # b's degree d - t sits at row off + (t, k)
-                    np.matmul(af[s, :, lo:hi], bf[s, off + lo : off + hi], out=o[..., slot, :, :])
+                    a_t = af[s, lo:hi].swapaxes(-1, -2)
+                    np.matmul(a_t, bf[s, off + lo : off + hi], out=o[..., slot, :, :])
 
             def add_sums(i, j):
-                np.add(af[i, :, a_cols], af[j, :, a_cols], out=af[-1, :, a_cols])
+                np.add(af[i, a_rows], af[j, a_rows], out=af[-1, a_rows])
                 np.add(bf[i, b_rows], bf[j, b_rows], out=bf[-1, b_rows])
 
             size = hi_d - first
             _fold(mul, add_sums, part[:, :size], acc[:size], p)
-            degrees = acc[:size].transpose(1, 2, 0)
-            if lo:
-                _add_mod_into(out[:, :, first:hi_d], degrees, p)
-            else:
-                out[:, :, first:hi_d] = degrees
-    return out
+            # degree-major on both sides: mixed layouts would make numpy buffer
+            _add_mod_into(c[:, :, first:hi_d].transpose(2, 0, 1), acc[:size], p)
 
 
 def min_degree_arr(a):

@@ -200,6 +200,17 @@ def test_degree_bound_below_one_is_a_usage_error(tmp_path, capsys, command, D):
     assert err == f"error: --D must be at least 1, got {D}\n"
 
 
+def test_an_inverse_past_physical_memory_is_a_usage_error(tmp_path, capsys):
+    # 8 x 8 words per degree at D = 10^12: 5 * 10^14 bytes for T alone
+    script = gen_random(tmp_path, n=8)
+    out = tmp_path / "out.csv"
+    argv = ["run", "--structure", "path-reporter", "--script", str(script), "--D", str(10**12)]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the inverse at n = 8, D = 1000000000000 needs ")
+    assert "bytes of physical memory" in err and not out.exists()
+
+
 @pytest.mark.parametrize("structure", ["path-reporter", "exact-apsp"])
 @pytest.mark.parametrize("kappa", ["inf", "1e308", "nan"])
 def test_kappa_without_a_finite_reset_scale_is_a_usage_error(tmp_path, capsys, structure, kappa):

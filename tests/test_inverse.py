@@ -1,6 +1,7 @@
 """Dynamic inverse against from-scratch series inversion of the adjacency
 rebuilt from each test's own edge set; pair updates against two rank-1
-updates; the closed-form set-up against replaying every initial edge."""
+updates; the closed-form set-up against replaying every initial edge;
+N's stored rows against the dense-N oracle; the memory a reset takes."""
 
 import math
 import random
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inverse_oracles import adjacency, arcs, series_inverse
+from inverse_oracles import DenseInverseState, adjacency, arcs, series_inverse
 
+from dynsp import _kernels
 from dynsp.graph import DynamicGraph, graph_of
 from dynsp.inverse import DEFAULT_KAPPA, InverseState
 from dynsp.polymat import encode
@@ -272,8 +274,9 @@ def test_degree_bound_at_or_past_the_modulus_matches_series_inverse(D):
         (pr.pr_delete if pr.g.has_edge(u, v) else pr.pr_insert)(u, v)
 
 
-def test_degree_bound_below_one_is_rejected_before_allocation():
-    A = encode(graph_of(64, [(i, i + 1) for i in range(63)]), FieldParams(rng_seed=1), 0)
+def _rejected_before_allocation(D):
+    """The ValueError InverseState raises at n = 64 and D, and its traced peak."""
+    A = encode(graph_of(64, [(i, i + 1) for i in range(63)]), FieldParams(rng_seed=1), D)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError) as err:
@@ -281,6 +284,92 @@ def test_degree_bound_below_one_is_rejected_before_allocation():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "D = 0" in str(err.value)
-    # T and N would each hold n * n uint64 words
+    return str(err.value), peak
+
+
+def test_degree_bound_below_one_is_rejected_before_allocation():
+    message, peak = _rejected_before_allocation(0)
+    assert "D = 0" in message
+    # T would hold n * n uint64 words per degree, and each stored row of N n
     assert peak < 64 * 64 * 8 // 4
+
+
+def test_an_inverse_past_physical_memory_is_rejected_before_allocation():
+    # 64 * 64 words per degree at D = 10^12: 3 * 10^16 bytes, past any machine
+    message, peak = _rejected_before_allocation(10**12)
+    assert message.startswith("the inverse at n = 64, D = 1000000000000 needs ")
+    assert "bytes of physical memory" in message
+    assert peak < 64 * 64 * 8 // 4
+
+
+@given(
+    n=st.integers(2, 14),
+    D=st.integers(1, 10),
+    p=st.sampled_from([5, SMALL_P, DEFAULT_PRIME]),
+    directed=st.booleans(),
+    kappa=st.floats(0.0, 1.0),
+    data=st.data(),
+)
+@settings(max_examples=50, deadline=None)
+def test_stored_rows_match_the_dense_oracle(n, D, p, directed, kappa, data):
+    """N kept as its nonzero rows, T reset in place and reads accumulated
+    into their block give the dense-N inverse, its counters, its set of
+    rows and its reset schedule after every update."""
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges")
+    stream = data.draw(st.lists(st.sampled_from(pairs), max_size=12), label="stream")
+    A = encode(graph_of(n, edges, directed), FieldParams(p=p, rng_seed=n * D), D)
+    rows, dense = InverseState(A, kappa), DenseInverseState(A, kappa)
+    present = set(edges)
+    for u, v in stream:
+        present ^= {(u, v)}
+        on = (u, v) in present
+        back = None if directed else A.entry_delta(v, u, on)
+        for host in (rows, dense):
+            host.dinv_update(u, v, A.entry_delta(u, v, on), back)
+        assert np.array_equal(rows.query_full(), dense.query_full())
+        assert rows.stats() == dense.stats()
+        assert set(rows.nrows) == set(dense.nrows) and len(rows.nrows) == len(rows.N)
+        assert rows.updates_since_reset == dense.updates_since_reset
+
+
+def _reset_peaks(n, D):
+    """Traced extra peak of the first two updates that reset, over T's bytes.
+
+    Each update inserts the chord (u, u + n/2) of a cycle, two new rows
+    of N, so N reaches its most rows before each reset.  The first reset
+    starts from emptied kernel scratch and grows it; the second finds it
+    sized by the first, as every later reset does."""
+    st = InverseState(encode(graph_of(n, [(i, (i + 1) % n) for i in range(n)]),
+                             FieldParams(rng_seed=3), D))
+    _kernels._scratch.bufs.clear()
+    peaks = []
+    for u in range(n // 2):
+        w = u + n // 2
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            st.dinv_update(u, w, st.A.entry_delta(u, w, True), st.A.entry_delta(w, u, True))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        if st.updates_since_reset == 0:
+            peaks.append(peak / st.T.nbytes)
+            if len(peaks) == 2:
+                assert st.stats()["nrows_max"] == min(n, 2 * math.ceil(st.reset_period / 2))
+                return peaks
+    raise AssertionError("fewer than two resets")
+
+
+@pytest.mark.parametrize("n, D", [(128, 8), (72, 24)])
+def test_reset_extra_peak(n, D):
+    """The reset folds T[:, nrows] N into T in place: its extra memory is
+    the gathered columns and, once per thread, the growth of the kernels'
+    scratch (the operands' limb stacks and one fold block).  The first
+    reset measures 1.8 T at (128, 8) and 2.1 T at (72, 24), where the
+    fold block's fixed 0.75 MB is large against a 1 MB T; later ones 0.2 T
+    and 0.3 T.  With a dense N and the product, the sum and their
+    temporaries in new arrays, every reset measured 4.0 T."""
+    first, later = _reset_peaks(n, D)
+    assert first < 2.5
+    assert later < 0.5

@@ -16,6 +16,7 @@ from dynsp._kernels import (
     mat_powers,
     mul_mod,
     poly_mat_mul,
+    poly_mat_mul_add,
 )
 
 SMALL_PRIME = (1 << 31) - 1   # the largest prime below 2^31
@@ -67,6 +68,27 @@ def ref_conv_trunc(a, b, p):
     for t in range(dp1):
         out[..., t:] = add_mod(out[..., t:], mul_mod(a[..., t : t + 1], b[..., : dp1 - t], p), p)
     return out
+
+
+def by_degree(a, b, p):
+    """The degree-major path alone, accumulating into zeros."""
+    out = np.zeros((a.shape[0], b.shape[1], a.shape[2]), dtype=np.uint64)
+    _kernels._poly_mat_mul_by_degree(out, a, b, p)
+    return out
+
+
+def assert_accumulates(a, b, p, product):
+    """poly_mat_mul_add adds the product into c in place, also when c is a
+    strided view, as the inverse's blocks of T and rows of N are."""
+    rng = np.random.default_rng(a.size + b.size)
+    c0 = rng.integers(0, p, size=product.shape, dtype=np.uint64)
+    want = add_mod(c0, product, p)
+    c = c0.copy()
+    assert poly_mat_mul_add(c, a, b, p) is c
+    assert np.array_equal(c, want)
+    host = np.ascontiguousarray(c0.transpose(1, 0, 2))
+    poly_mat_mul_add(host.transpose(1, 0, 2), a, b, p)
+    assert np.array_equal(host.transpose(1, 0, 2), want)
 
 
 # ---- operands: random entries, with some rows and columns all p - 1 ----------
@@ -140,6 +162,7 @@ def test_poly_mat_mul_block_boundaries(monkeypatch, p, budget, n, k, m, dp1):
     out = poly_mat_mul(a, b, p)
     assert out.shape == (n, m, dp1) and out.flags.c_contiguous
     assert np.array_equal(out, ref_poly_mat_mul(a, b, p))
+    assert_accumulates(a, b, p, out)
 
 
 @st.composite
@@ -174,6 +197,7 @@ def test_poly_mat_mul_by_degree_matches_per_degree_loop(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_EXPAND_BUDGET", budget)
         out = poly_mat_mul(a, b, p)
+        assert_accumulates(a, b, p, out)
     assert out.shape == (a.shape[0], b.shape[1], a.shape[2]) and out.flags.c_contiguous
     assert np.array_equal(out, ref_poly_mat_mul(a, b, p))
 
@@ -231,9 +255,7 @@ def test_all_p_minus_one_products_at_the_chunk_bounds(p, length):
     pa, pb = np.full((2, k, dp1), top), np.full((k, 2, dp1), top)
     assert _kernels._fits_one_block(2, k, 1, dp1)
     assert np.array_equal(poly_mat_mul(pa, pb[:, :1], p), ref_poly_mat_mul(pa, pb[:, :1], p))
-    assert np.array_equal(
-        _kernels._poly_mat_mul_by_degree(pa, pb, p), ref_poly_mat_mul(pa, pb, p)
-    )
+    assert np.array_equal(by_degree(pa, pb, p), ref_poly_mat_mul(pa, pb, p))
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -243,7 +265,7 @@ def test_a_product_that_sums_to_p_reduces_to_zero(p):
     a, b = np.ones((1, 2), dtype=np.uint64), np.array([[1], [p - 1]], dtype=np.uint64)
     assert mat_mul_mod(a, b, p)[0, 0] == 0
     pa, pb = a[:, :, None], b[:, :, None]
-    assert _kernels._poly_mat_mul_by_degree(pa, pb, p)[0, 0, 0] == 0
+    assert by_degree(pa, pb, p)[0, 0, 0] == 0
 
 
 @pytest.mark.parametrize("p", PRIMES)
