@@ -234,12 +234,31 @@ def bfs_dist_bounded(g: DynamicGraph, sources, radius: int) -> dict[int, int]:
 def bfs_tree(g: DynamicGraph, root: int, radius: int) -> tuple[dict[int, int], dict]:
     """The ball of the given hop radius around root, and a shortest-path
     tree on it: (level, parent), where parent[v] is the smallest
-    in-neighbour of v one level closer to root, and None at the root."""
-    level = bfs_dist_bounded(g, [root], radius)
+    in-neighbour of v one level closer to root, and None at the root.
+
+    One BFS, level by level, finds both.  Every in-neighbour of v one
+    level closer scans v before the next level starts, so v keeps the
+    smallest of them.  Both dicts list the ball in the order the BFS
+    reaches it, as bfs_dist_bounded does.
+    """
+    level = {root: 0}
     parent = {root: None}
-    for v, lv in level.items():
-        if v != root:
-            parent[v] = min(w for w in g.radj[v] if level.get(w) == lv - 1)
+    frontier = [root]
+    adj = g.adj
+    for d in range(1, radius + 1):
+        reached = []
+        for u in frontier:
+            for v in adj[u]:
+                lv = level.get(v)
+                if lv is None:
+                    level[v] = d
+                    parent[v] = u
+                    reached.append(v)
+                elif lv == d and u < parent[v]:
+                    parent[v] = u
+        if not reached:
+            break
+        frontier = reached
     return level, parent
 
 

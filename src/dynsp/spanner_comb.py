@@ -16,7 +16,10 @@ decides every vertex that level j blocks: one BFS per level j >= 1, in
 O(n + m) each.  That pass, blocked_vertices, takes the graph, the levels
 and the floors, and the algebraic spanner (spanner_alg) decides its own
 activeness with it too.  Then one bounded BFS tree (graph.bfs_tree) per
-active vertex gives H.
+active vertex gives H; each tree takes its parents during its one BFS.
+The levels are drawn from the seed, but the radii and floors depend on
+(n, eps, k) alone, so level_tables computes them, and beta, once per
+(n, eps, k) and only samples the levels per call.
 
 The fully dynamic variant simply reruns the static construction after
 every update (sp_rebuild_update); RebuildSpanner wraps that with lazy
@@ -38,6 +41,7 @@ the block tests compare against a table of floors built once.
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -105,22 +109,34 @@ def beta_certificate(n: int, eps, k: int | None = None) -> int:
     return 2 * math.ceil((Fraction(eps) / 8) ** -(k + 1))
 
 
+@functools.lru_cache(maxsize=64)
+def _seed_free_tables(n: int, eps, k: int | None) -> tuple:
+    """(k, beta, radii, floors) on n vertices: all of level_tables that
+    the seed does not draw, and all of its exact arithmetic.  Checks eps
+    first, then k; a failed check is not cached."""
+    beta = beta_certificate(n, eps, k)
+    k = resolve_k(n, k)
+    inv_pow = [(Fraction(eps) / 8) ** -(i + 1) for i in range(k + 1)]
+    radii = [min(n, math.ceil(x)) for x in inv_pow]
+    floors = [[math.floor(x - y) for y in inv_pow] for x in inv_pow]
+    return k, beta, radii, floors
+
+
 def level_tables(g: DynamicGraph, eps, seed: int, k: int | None = None) -> tuple:
     """(k, beta, level, radii, floors): what a combinatorial spanner on g reads.
 
     k is the top level, beta the certificate, level[v] the sampled level
     of v, radii[i] the ball radius at level i and floors[j][i] the floor
     of the threshold between a level-j blocker and a level-i blockee.
-    Checks eps, k and g first.
+    Checks eps, k and g first.  Only the levels depend on the seed: the
+    rest is computed once per (n, eps, k), and each call gets its own
+    copy of the lists.
     """
-    beta = beta_certificate(g.n, eps, k)
+    k, beta, radii, floors = _seed_free_tables(g.n, eps, k)
     if g.directed:
         raise ValueError("spanners are defined for undirected graphs")
-    k = resolve_k(g.n, k)
-    inv_pow = [(Fraction(eps) / 8) ** -(i + 1) for i in range(k + 1)]
-    radii = [min(g.n, math.ceil(x)) for x in inv_pow]
-    floors = [[math.floor(x - y) for y in inv_pow] for x in inv_pow]
-    return k, beta, sample_levels(g.n, k, derive_seed(seed, 0x5E)), radii, floors
+    level = sample_levels(g.n, k, derive_seed(seed, 0x5E))
+    return k, beta, level, list(radii), [list(row) for row in floors]
 
 
 def blocked_vertices(g: DynamicGraph, level: list[int], floors) -> set[int]:

@@ -17,6 +17,14 @@ closure still read a maintained H x H view of the inverse; the path
 digest pins which of several tied shortest paths the waypoint rule
 reports.
 
+The spanner streams pin RebuildSpanner.edges() after every update: chord
+updates on the steiner-grid benchmark's 8 x 8 grid, and mixed updates on
+G(48, 110).  The Steiner stream pins the tree's edge set after every
+chord update and terminal change, over the benchmark's provider, whose
+distances beyond D come from that spanner.  They were taken while
+graph.bfs_tree still found each parent in a second pass and
+level_tables redid its exact arithmetic on every call.
+
 At n = 48 the resets and full reads multiply (48, |nrows|, D+1) by
 (|nrows|, 48, D+1), a product too large for one Toeplitz block.  The
 p = 5 stream pins a prime whose entries fit in three bits, where sums
@@ -26,16 +34,29 @@ cancel mod p often; D = 24 is the apsp-ring degree bound.
 import functools
 import hashlib
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dynsp import _kernels, reporter
 from dynsp._kernels import MERSENNE61
-from dynsp.apsp import HittingSetApsp
-from dynsp.graph import DeleteEdge, DynamicGraph, InsertEdge, all_pairs_dist, validate_path
+from dynsp.apsp import ApproxApsp, HittingSetApsp
+from dynsp.graph import (
+    AddTerminal,
+    DeleteEdge,
+    DynamicGraph,
+    InsertEdge,
+    RemoveTerminal,
+    all_pairs_dist,
+    apply_update,
+    graph_of,
+    validate_path,
+)
 from dynsp.reporter import PathReporter
 from dynsp.ring import FieldParams
+from dynsp.spanner_comb import RebuildSpanner
+from dynsp.steiner import SteinerState
 
 N, D, EDGES, UPDATES = 48, 8, 72, 80  # D: the default stream's bound
 
@@ -183,3 +204,133 @@ def test_exact_apsp_distances_and_stitched_paths_match_their_pins(p, monkeypatch
     assert st.pr.params.p == p
     assert len(st.H) < RING_N and st.stats()["stitched"] > 0
     assert (dist, paths) == APSP_PINS[p]
+
+
+# ---- the combinatorial spanner and the Steiner tree ---------------------------
+
+SIDE, CHORDS = 8, 6  # the steiner-grid benchmark's grid and chord count
+SPANNER_UPDATES, STEINER_ROUNDS = 60, 40
+
+# (family, eps): digest of RebuildSpanner.edges() after every update.  The
+# grid runs at the steiner-grid spanner's eps.  On G(48, 110) no finite
+# distance exceeds 5, below every ball radius and blocking floor at both
+# eps, so their H, and pins, agree.
+SPANNER_PINS = {
+    ("grid", Fraction(1, 4)): "93521cb5158169ca9ed437c2155cef2ebf9da2ee0c79fadf6d4b12cf32eef112",
+    ("gnp", Fraction(1, 2)): "d85f48974d66f4e8fa0dc7bc850db8f10b609781966f2e062b664b82e146eaf2",
+    ("gnp", Fraction(1)): "d85f48974d66f4e8fa0dc7bc850db8f10b609781966f2e062b664b82e146eaf2",
+}
+
+STEINER_PIN = "c57ed809d49aa95b2a645d4f091b581db4cfa033f23ee52bedbd777242ed0751"
+
+
+def grid_edges(side):
+    edges = {(v, v + 1) for v in range(side * side) if (v + 1) % side}
+    return edges | {(v, v + side) for v in range(side * (side - 1))}
+
+
+def diagonal(side, rng):
+    """A random diagonal of one grid cell, as (min, max)."""
+    r, c = rng.randrange(side - 1), rng.randrange(side - 1)
+    if rng.random() < 0.5:
+        return r * side + c, (r + 1) * side + c + 1
+    return r * side + c + 1, (r + 1) * side + c
+
+
+def chord_stream(g, grid, rng):
+    """Endless edge events that keep about CHORDS diagonals on the grid:
+    delete a random one once there are CHORDS, else insert a new one."""
+    while True:
+        chords = sorted(e for e in g.edges() if e not in grid)
+        if len(chords) >= CHORDS:
+            yield DeleteEdge(*rng.choice(chords))
+        else:
+            while g.has_edge(*(e := diagonal(SIDE, rng))):
+                pass
+            yield InsertEdge(*e)
+
+
+def gnp_stream(g, rng):
+    """Endless edge events that alternately delete a present edge and
+    insert an absent one."""
+    while True:
+        yield DeleteEdge(*rng.choice(sorted(g.edges())))
+        while g.has_edge(*(e := tuple(sorted(rng.sample(range(g.n), 2))))):
+            pass
+        yield InsertEdge(*e)
+
+
+def spanner_instance(family):
+    """A graph and an endless stream of edge events against it."""
+    rng = random.Random(f"digest/spanner/{family}")
+    if family == "grid":
+        grid = grid_edges(SIDE)
+        g = graph_of(SIDE * SIDE, grid)
+        while g.edge_count < len(grid) + CHORDS:
+            e = diagonal(SIDE, rng)
+            if not g.has_edge(*e):
+                g.insert_edge(*e)
+        return g, chord_stream(g, grid, rng)
+    g = DynamicGraph(48)
+    while g.edge_count < 110:
+        e = tuple(sorted(rng.sample(range(48), 2)))
+        if not g.has_edge(*e):
+            g.insert_edge(*e)
+    return g, gnp_stream(g, rng)
+
+
+def edge_line(edges) -> bytes:
+    return ("".join(f"{u}-{v} " for u, v in sorted(edges)) + "\n").encode()
+
+
+def replay_spanner(family, eps):
+    """A RebuildSpanner after a fixed stream, and the running digest of
+    its sorted edges after every update."""
+    g, stream = spanner_instance(family)
+    sp = RebuildSpanner(g.copy(), eps, seed=1)
+    digest = hashlib.sha256()
+    for ev, _ in zip(stream, range(SPANNER_UPDATES)):
+        apply_update(g, ev)
+        sp.apply(ev)
+        edges = sp.edges()
+        assert all(g.has_edge(u, v) for u, v in edges)
+        digest.update(edge_line(edges))
+    return sp, digest.hexdigest()
+
+
+@pytest.mark.parametrize("family, eps", list(SPANNER_PINS))
+def test_rebuild_spanner_edges_match_their_pins_after_every_update(family, eps):
+    sp, digest = replay_spanner(family, eps)
+    stats = sp.stats()
+    assert stats["rebuilds"] == SPANNER_UPDATES and stats["trees"] > SPANNER_UPDATES
+    assert digest == SPANNER_PINS[family, eps]
+
+
+def replay_steiner():
+    """A SteinerState over the steiner-grid benchmark's provider after a
+    fixed stream of chord updates and terminal changes, and the running
+    digest of its tree's sorted edges after every event."""
+    rng = random.Random("digest/steiner")
+    g, stream = spanner_instance("grid")
+    provider = ApproxApsp(g.copy(), Fraction(1, 2), seed=1, D=6)
+    st = SteinerState(provider.g, rng.sample(range(g.n), 6), provider=provider)
+    digest = hashlib.sha256()
+    grow = True
+    for ev, _ in zip(stream, range(STEINER_ROUNDS)):
+        apply_update(g, ev)
+        if len(st.S) in (4, 8):  # the terminal count sweeps 4..8 and back
+            grow = len(st.S) == 4
+        if grow:
+            change = AddTerminal(rng.choice([x for x in range(g.n) if x not in st.S]))
+        else:
+            change = RemoveTerminal(rng.choice(sorted(st.S)))
+        for e in (ev, change):
+            digest.update(edge_line(st.apply(e).edges))
+    return st, digest.hexdigest()
+
+
+def test_steiner_tree_edges_match_their_pin_after_every_event():
+    st, digest = replay_steiner()
+    stats = st.stats()
+    assert stats["spanner_rebuilds"] > 0 and stats["spanner_rows"] > 0
+    assert digest == STEINER_PIN

@@ -222,3 +222,36 @@ def test_bfs_tree_is_the_bounded_ball_with_the_smallest_parents(n, directed, arc
     for v in level.keys() - {0}:
         closer = [w for w in range(n) if g.has_edge(w, v) and dist[w] == dist[v] - 1]
         assert parent[v] == min(closer)
+
+
+def _two_pass_bfs_tree(g, root, radius):
+    """The definition bfs_tree keeps: the bounded ball, then for every
+    vertex the smallest in-neighbour one level closer."""
+    level = bfs_dist_bounded(g, [root], radius)
+    parent = {root: None}
+    for v, lv in level.items():
+        if v != root:
+            parent[v] = min(w for w in g.radj[v] if level.get(w) == lv - 1)
+    return level, parent
+
+
+@given(
+    n=st.integers(1, 16),
+    directed=st.booleans(),
+    arcs=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=60),
+    root=st.integers(0, 15),
+)
+@settings(max_examples=120, deadline=None)
+def test_bfs_tree_equals_the_two_pass_definition_in_order(n, directed, arcs, root):
+    g = DynamicGraph(n, directed)
+    for a, b in arcs:
+        a, b = a % n, b % n
+        if a != b and not g.has_edge(a, b):
+            g.insert_edge(a, b)
+    root %= n
+    for radius in range(n + 1):
+        level, parent = bfs_tree(g, root, radius)
+        want_level, want_parent = _two_pass_bfs_tree(g, root, radius)
+        assert (level, parent) == (want_level, want_parent), radius
+        assert list(level.items()) == list(want_level.items()), radius
+        assert list(parent.items()) == list(want_parent.items()), radius

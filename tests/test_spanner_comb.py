@@ -23,9 +23,11 @@ from dynsp.graph import (
 from dynsp.spanner_comb import (
     RebuildSpanner,
     SpannerState,
+    beta_certificate,
     blocked_vertices,
     default_k,
     level_tables,
+    resolve_k,
     sample_levels,
     sp_rebuild_update,
 )
@@ -233,6 +235,58 @@ def test_threshold_floors_agree_with_the_exact_thresholds(eps, k):
             ds = set(range(radii[j] + 3)) | set(range(floor - 1, floor + 3))
             for d in ds:
                 assert (d <= floor) == (Fraction(d) <= thr), (j, i, d)
+
+
+def fresh_level_tables(g, eps, seed, k=None):
+    """level_tables as it computed everything on every call (the reference)."""
+    beta = beta_certificate(g.n, eps, k)
+    if g.directed:
+        raise ValueError("spanners are defined for undirected graphs")
+    k = resolve_k(g.n, k)
+    inv_pow = [(Fraction(eps) / 8) ** -(i + 1) for i in range(k + 1)]
+    radii = [min(g.n, math.ceil(x)) for x in inv_pow]
+    floors = [[math.floor(x - y) for y in inv_pow] for x in inv_pow]
+    return k, beta, sample_levels(g.n, k, derive_seed(seed, 0x5E)), radii, floors
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 64, 300])
+@pytest.mark.parametrize("eps", [1, Fraction(1, 2), Fraction(1, 4), 0.3])
+@pytest.mark.parametrize("k", [None, 0, 1, 3])
+def test_level_tables_equal_a_fresh_computation(n, eps, k):
+    g = DynamicGraph(n)
+    for seed in (0, 1, 0):  # the repeat reads the seed-free part back
+        got = level_tables(g, eps, seed, k)
+        assert got == fresh_level_tables(g, eps, seed, k)
+        _, _, _, radii, floors = got
+        radii.append(-1)  # each call owns its lists
+        floors[0].append(-1)
+    assert level_tables(g, eps, 1, k) == fresh_level_tables(g, eps, 1, k)
+
+
+@pytest.mark.parametrize(
+    "eps, k, directed",
+    [(0, -1, True), (2, -1, True), (1, -1, True), (1, None, True), (0.5, 0, True), (1, -1, False)],
+)
+def test_level_tables_check_eps_then_k_then_the_graph(eps, k, directed):
+    g = DynamicGraph(6, directed=directed)
+    with pytest.raises(ValueError) as want:
+        fresh_level_tables(g, eps, 0, k)
+    for _ in range(2):  # a failed check is not cached
+        with pytest.raises(ValueError) as got:
+            level_tables(g, eps, 0, k)
+        assert str(got.value) == str(want.value)
+
+
+def test_graphs_of_different_sizes_never_share_tables():
+    # at eps = 1 the radii are capped at n, and the default k grows with n
+    sizes = [3, 4, 5, 3, 64, 4, 1000, 5]
+    for eps in (1, 1.0, Fraction(1)):
+        for n in sizes:
+            for k in (None, 2, None):
+                g = DynamicGraph(n)
+                assert level_tables(g, eps, 7, k) == fresh_level_tables(g, eps, 7, k), (n, k)
+    assert level_tables(DynamicGraph(4), 1, 7, 1)[3] == [4, 4]
+    assert level_tables(DynamicGraph(5), 1, 7, 1)[3] == [5, 5]
 
 
 def test_rebuild_provider_is_lazy_but_faithful():
