@@ -7,7 +7,13 @@ update one dist_block read over H x H gives the capped distances within
 H, a small weighted graph, and Floyd-Warshall closes a copy of it, for
 distances only:
 
-    dist(i,j) = min(D^D_ij, min_{p,q in H} D^D_ip + fw(p,q) + D^D_qj)
+    dist(i,j) = min(D^D_ij, min_{p in H} D^D_ip + c_j(p)),
+    c_j(p) = min_{q in H} fw(p,q) + D^D_qj
+
+One routine (_via_h) computes c_j, and every exact answer is stitched
+from it: a distance, a path, and each column of the all-pairs matrix.
+fw(p,q) is the closed distance from p to q, which on a directed graph
+differs from fw(q,p).
 
 The closure's input, the capped H x H distances, is kept as well; it
 equals a fresh read until the next update, so a query reads only what
@@ -112,8 +118,18 @@ class HittingSetApsp:
 
     # ---- queries -----------------------------------------------------------
 
+    def _via_h(self, to_j: np.ndarray) -> np.ndarray:
+        """Stitched lengths from each vertex of H to one target j.
+
+        to_j[q] is the capped distance from H[q] to j; entry p of the
+        result is min over q of fw(H[p], H[q]) + to_j[q]: one h x h
+        broadcast and a row minimum.
+        """
+        return (self.fw_dist + to_j).min(axis=1)
+
     def _stitch(self, i: int, j: int):
-        """(short distance, stitched lengths over H x H, their min, column j).
+        """(short distance, stitched length through each vertex of H, their
+        min, column j, column j over H).
 
         For i != j.  Row i over H is row a of the kept H x H distances
         when i = H[a], otherwise one dist_block([i], H) read; column j
@@ -136,10 +152,10 @@ class HittingSetApsp:
         else:
             to_j = w[:, b]
             short = float(from_i[b])
-        cand = from_i[:, None] + self.fw_dist + to_j[None, :]
-        total = min(short, float(cand.min())) if cand.size else short
+        through = from_i + self._via_h(to_j)
+        total = min(short, float(through.min()))
         self._counts["stitched"] += total < short
-        return short, cand, total, col
+        return short, through, total, col, to_j
 
     def exact_dist(self, i: int, j: int) -> float:
         if i == j:
@@ -152,20 +168,18 @@ class HittingSetApsp:
         return self.exact_dist(i, j)
 
     def exact_dist_matrix(self) -> np.ndarray:
-        """All-pairs distances at once (the acceptance-audit fast path)."""
+        """All-pairs distances at once (the acceptance-audit fast path).
+
+        One full read, then column j takes, for every i, the smaller of
+        the short distance and the best stitch through H, with the
+        stitched lengths from H to j from the single-pair routine.
+        """
         everyone = range(self.g.n)
         short = _capped(self.pr.dist_block(everyone, everyone), self.D)
-        if not self.H:
-            return short
-        to_h = short[:, self.H]            # D^D_ip
-        from_h = short[self.H, :]          # D^D_qj
-        mid = np.empty_like(from_h)
-        h = len(self.H)
-        for q in range(h):                 # min-plus fw x from_h
-            mid[q] = (self.fw_dist[:, q][:, None] + from_h).min(axis=0)
+        to_h, from_h = short[:, self.H], short[self.H]
         out = short.copy()
-        for p in range(h):                 # min-plus to_h x mid
-            np.minimum(out, to_h[:, p][:, None] + mid[p][None, :], out=out)
+        for j in everyone:
+            np.minimum(out[:, j], (to_h + self._via_h(from_h[:, j])).min(axis=1), out=out[:, j])
         return out
 
     def exact_path(self, i: int, j: int) -> list[int]:
@@ -179,20 +193,22 @@ class HittingSetApsp:
 
         The stitch's reads, plus one column_block over the far ends of
         the segments whose column it did not read: at most three reads.
-        A short path walks column j; a stitched one takes the first
-        (p, q) in row-major order that attains the minimum, picks its
-        waypoints from H[p] to H[q] by the successor rule over the kept
-        distances and walks each segment down its far end's column.
+        A short path walks column j; a stitched one takes p, the first
+        index whose stitch attains the minimum, and q, the first index
+        that attains H[p]'s stitched length to j, picks its waypoints
+        from H[p] to H[q] by the successor rule over the kept distances
+        and walks each segment down its far end's column.
         """
         if i == j:
             return [i]
-        short, cand, total, col = self._stitch(i, j)
+        short, through, total, col, to_j = self._stitch(i, j)
         if total == INF:
             return None
         pr = self.pr
         if short == total:
             return pr.walk(col if col is not None else pr.column_block([j])[j], i, j)
-        p, q = divmod(int(np.flatnonzero(cand == total)[0]), len(self.H))
+        p = int(np.argmin(through))
+        q = int(np.argmin(self.fw_dist[p] + to_j))
         w, to_q = self._w_hh, self.fw_dist[:, q]
         waypoints = [p]
         while waypoints[-1] != q:  # w(x, y) >= 1 for y != x: to_q falls at every step

@@ -8,7 +8,8 @@ Subcommands:
             one JSON line on stderr (every structure but bfs-oracle)
     verify  replay against the structure AND the BFS oracle, check every
             answer against the structure's certificate
-    bench   timed replay with warmup; per-update/per-query percentiles
+    bench   timed replay with warmup; per-update/per-query percentiles,
+            over the queries the structure answers
 
 Every piece of randomness flows from the single --seed through
 counter-based splitting, so identical invocations produce byte-identical
@@ -118,7 +119,8 @@ REGISTRY = {
         lambda g, a: HittingSetApsp(g, a.D, kappa=a.kappa, seed=a.seed), _exact
     ),
     "approx-apsp": Structure(
-        lambda g, a: ApproxApsp(g, a.eps, seed=a.seed, D=a.D, spanner_k=a.k), _approx
+        lambda g, a: ApproxApsp(g, a.eps, seed=a.seed, D=a.D, kappa=a.kappa, spanner_k=a.k),
+        _approx,
     ),
     "path-reporter": Structure(
         lambda g, a: PathReporter(g, a.D, kappa=a.kappa, seed=a.seed),
@@ -134,7 +136,11 @@ REGISTRY = {
     ),
     "steiner": Structure(
         lambda g, a: SteinerState(
-            g, [], provider=ApproxApsp(g, a.eps / 2, seed=a.seed, D=a.D, spanner_k=a.k)
+            g,
+            [],
+            provider=ApproxApsp(
+                g, a.eps / 2, seed=a.seed, D=a.D, kappa=a.kappa, spanner_k=a.k
+            ),
         ),
         lambda st: _approx(st.provider),
         lambda st: f"weight={st.tree.weight}",
@@ -359,8 +365,9 @@ def cmd_bench(args) -> int:
                 st.dist(ev.u, ev.v)
                 q.append(time.perf_counter() - t0)
             elif isinstance(ev, PathQuery):
-                _path(st, ev.u, ev.v)
-                q.append(time.perf_counter() - t0)
+                if hasattr(st, "path"):  # as in verify, unanswered path queries are skipped
+                    st.path(ev.u, ev.v)
+                    q.append(time.perf_counter() - t0)
             elif isinstance(ev, PhaseMark):
                 pass
             else:

@@ -59,14 +59,13 @@ from ._kernels import derive_seed
 from .graph import (
     DynamicGraph,
     InsertEdge,
-    apply_update,
     bfs_dist,
     bfs_dist_bounded,
     descend,
     graph_of,
 )
 from .reporter import NoWitnessFound, PathReporter
-from .spanner_comb import blocked_vertices, default_k, sample_levels
+from .spanner_comb import blocked_vertices, default_k, require_undirected, sample_levels
 
 
 def greedy_spanner(g: DynamicGraph, stretch: int) -> set[tuple[int, int]]:
@@ -156,8 +155,7 @@ class AlgSpannerState:
             raise ValueError("need 0 < eps <= 1")
         if not 0 < kappa <= 0.529:
             raise ValueError("need 0 < kappa <= 0.529")
-        if g.directed:
-            raise ValueError("spanners are defined for undirected graphs")
+        require_undirected(g)
         for name, value in (("k", k), ("b", b)):
             if value is not None and value < 1:
                 raise ValueError(f"need {name} >= 1, got {name} = {value}")
@@ -222,14 +220,18 @@ class AlgSpannerState:
         self._rebuild()
 
     def _resample(self) -> None:
-        """Fresh levels and path core, seeded by the number of re-inits."""
+        """Fresh levels and path core, seeded by the number of re-inits.
+
+        The path core is built over g itself, not a copy, so each update
+        reaches g once, through the core.
+        """
         self._active_stale = True
         run = len(self.reinit_events)
         self.level = sample_levels(self.g.n, self.k, derive_seed(self.seed, 0x6A, run))
         if run:
             self._retired_reads = self._reporter_reads()
         self.alg = PathReporter(
-            self.g.copy(),
+            self.g,
             self.depth,
             self.kappa,
             derive_seed(self.seed, 0x6B, run),
@@ -370,8 +372,7 @@ class AlgSpannerState:
     # ---- public operations -------------------------------------------------
 
     def alg_update(self, ev) -> set[tuple[int, int]]:
-        apply_update(self.g, ev)
-        self.alg.apply(ev)
+        self.alg.apply(ev)  # the path core's graph is g: this updates both
         self.update_count += 1
         if self._update_helper(ev):
             self._active_stale = True

@@ -109,6 +109,12 @@ def beta_certificate(n: int, eps, k: int | None = None) -> int:
     return 2 * math.ceil((Fraction(eps) / 8) ** -(k + 1))
 
 
+def require_undirected(g: DynamicGraph) -> None:
+    """ValueError on a directed graph: every spanner here is undirected."""
+    if g.directed:
+        raise ValueError("spanners are defined for undirected graphs")
+
+
 @functools.lru_cache(maxsize=64)
 def _seed_free_tables(n: int, eps, k: int | None) -> tuple:
     """(k, beta, radii, floors) on n vertices: all of level_tables that
@@ -133,8 +139,7 @@ def level_tables(g: DynamicGraph, eps, seed: int, k: int | None = None) -> tuple
     copy of the lists.
     """
     k, beta, radii, floors = _seed_free_tables(g.n, eps, k)
-    if g.directed:
-        raise ValueError("spanners are defined for undirected graphs")
+    require_undirected(g)
     level = sample_levels(g.n, k, derive_seed(seed, 0x5E))
     return k, beta, level, list(radii), [list(row) for row in floors]
 
@@ -321,6 +326,7 @@ class RebuildSpanner:
     def __init__(self, g: DynamicGraph, eps, seed: int, k: int | None = None) -> None:
         # checks eps and k, and is fixed by (n, eps, k): reading it runs no construction
         self.beta_certificate = beta_certificate(g.n, eps, k)
+        require_undirected(g)
         self.g = g
         self.eps = eps
         self.seed = seed

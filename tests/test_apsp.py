@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from dynsp._kernels import min_degree_arr
-from dynsp.apsp import ApproxApsp, HittingSetApsp, StitchFailure
+from dynsp.apsp import ApproxApsp, HittingSetApsp, StitchFailure, _capped
 from dynsp.graph import (
     DeleteEdge,
     DynamicGraph,
@@ -22,6 +22,7 @@ from dynsp.graph import (
 )
 from dynsp.reporter import BEYOND
 from dynsp.spanner_comb import RebuildSpanner
+from dynsp.steiner import SteinerState
 
 INF = math.inf
 
@@ -159,6 +160,24 @@ def test_approx_checks_its_own_eps_with_or_without_a_spanner(eps):
         ApproxApsp(g.copy(), eps, spanner=RebuildSpanner(g.copy(), 0.5, 0), D=4)
     with pytest.raises(ValueError, match=r"^ApproxApsp needs 0 < eps <= 2$"):
         ApproxApsp(g.copy(), eps)
+
+
+def test_spanner_backed_structures_reject_a_directed_graph_when_built():
+    g = DynamicGraph(4, directed=True)
+    g.insert_edge(0, 1)
+    g.insert_edge(1, 2)
+    message = "spanners are defined for undirected graphs"
+    for make in (
+        lambda: RebuildSpanner(g.copy(), 1, seed=0),
+        lambda: ApproxApsp(g.copy(), 1),
+        lambda: SteinerState(g.copy(), [0, 2]),
+    ):
+        with pytest.raises(ValueError, match=message):
+            make()
+    with pytest.raises(ValueError, match="need 0 < eps <= 1"):  # eps and k first
+        RebuildSpanner(g.copy(), 2, seed=0)
+    with pytest.raises(ValueError, match="need k >= 0"):
+        RebuildSpanner(g.copy(), 1, seed=0, k=-1)
 
 
 def test_approx_takes_eps_up_to_2_as_its_default_spanner_runs_at_half():
@@ -498,3 +517,171 @@ def test_an_overstated_segment_column_raises_stitch_failure(monkeypatch):
         st.exact_path(0, 11)
     assert st.exact_dist(0, 11) == 11.0  # the distance reads no column
     assert st.stats()["stitch_failures"] == 1
+
+
+class TwoLoopStitch(HittingSetApsp):
+    """HittingSetApsp with the stitch written twice: an h x h candidate
+    array per pair, and two min-plus loops for the matrix (the reference
+    for the one stitching routine).  The loops read the closure
+    transposed, fw(q, p) where fw(p, q) is meant, so on a directed graph
+    the matrix can understate a distance; the pair queries cannot."""
+
+    def _stitch(self, i, j):
+        D, H, w = self.D, self.H, self._w_hh
+        a, b = self._h_index.get(i), self._h_index.get(j)
+        from_i = w[a] if a is not None else _capped(self.pr.dist_block([i], H)[0], D)
+        col = None
+        if b is None:
+            col = self.pr.column_block([j])[j]
+            to_j = _capped(np.asarray(col)[H], D)
+            short = float(col[i]) if col[i] <= D else INF
+        else:
+            to_j = w[:, b]
+            short = float(from_i[b])
+        cand = from_i[:, None] + self.fw_dist + to_j[None, :]
+        total = min(short, float(cand.min())) if cand.size else short
+        self._counts["stitched"] += total < short
+        return short, cand, total, col
+
+    def exact_dist_matrix(self):
+        everyone = range(self.g.n)
+        short = _capped(self.pr.dist_block(everyone, everyone), self.D)
+        if not self.H:
+            return short
+        to_h = short[:, self.H]
+        from_h = short[self.H, :]
+        mid = np.empty_like(from_h)
+        h = len(self.H)
+        for q in range(h):
+            mid[q] = (self.fw_dist[:, q][:, None] + from_h).min(axis=0)
+        out = short.copy()
+        for p in range(h):
+            np.minimum(out, to_h[:, p][:, None] + mid[p][None, :], out=out)
+        return out
+
+    def path(self, i, j):
+        if i == j:
+            return [i]
+        short, cand, total, col = self._stitch(i, j)
+        if total == INF:
+            return None
+        pr = self.pr
+        if short == total:
+            return pr.walk(col if col is not None else pr.column_block([j])[j], i, j)
+        p, q = divmod(int(np.flatnonzero(cand == total)[0]), len(self.H))
+        w, to_q = self._w_hh, self.fw_dist[:, q]
+        waypoints = [p]
+        while waypoints[-1] != q:
+            x = waypoints[-1]
+            on_chain = w[x] + to_q == to_q[x]
+            on_chain[x] = False
+            waypoints.append(int(np.flatnonzero(on_chain)[0]))
+        stops = [i] + [self.H[x] for x in waypoints] + [j]
+        segments = [(a, b) for a, b in zip(stops, stops[1:]) if a != b]
+        cols = {} if col is None else {j: col}
+        cols.update(pr.column_block(sorted({b for _a, b in segments} - cols.keys())))
+        path = [i]
+        for a, b in segments:
+            if cols[b][a] > self.D:
+                self._counts["stitch_failures"] += 1
+                raise StitchFailure(f"segment ({a}, {b}) exceeds D={self.D}")
+            path.extend(pr.walk(cols[b], a, b)[1:])
+        return path
+
+
+def chorded_cycle(n, directed, chords):
+    """The n-cycle, oriented 0 -> 1 -> ... -> 0 when directed, plus the
+    chords that are not loops or already present."""
+    g = DynamicGraph(n, directed=directed)
+    for v in range(n):
+        g.insert_edge(v, (v + 1) % n)
+    for u, v in chords:
+        if u != v and not g.has_edge(u, v):
+            g.insert_edge(u, v)
+    return g
+
+
+def _overstating(read, targets, D):
+    """column_block with the columns of targets read as D + 1 off the
+    diagonal: a randomness failure of those columns."""
+
+    def column_block(js):
+        return {
+            b: [D + 1 if b in targets and a != b else x for a, x in enumerate(col)]
+            for b, col in read(js).items()
+        }
+
+    return column_block
+
+
+def _path_or_failure(st, i, j):
+    try:
+        return st.path(i, j)
+    except StitchFailure as exc:
+        return f"StitchFailure: {exc}"
+
+
+@given(
+    n=hst.integers(6, 10),
+    directed=hst.booleans(),
+    D=hst.integers(2, 4),
+    sampled=hst.booleans(),
+    overstated=hst.lists(hst.integers(0, 10), max_size=2),
+    seed=hst.integers(0, 2**16),
+    chords=hst.lists(hst.tuples(hst.integers(0, 10), hst.integers(0, 10)), max_size=4),
+    toggles=hst.lists(hst.tuples(hst.integers(0, 10), hst.integers(0, 10)), min_size=1, max_size=2),
+)
+@settings(max_examples=40, deadline=None)
+def test_one_stitch_answers_as_the_two_loop_stitch_and_its_matrix_equals_bfs(
+    n, directed, D, sampled, overstated, seed, chords, toggles
+):
+    g = chorded_cycle(n, directed, [(u % n, v % n) for u, v in chords])
+    c = 0.3 if sampled else 2.0  # the default c covers every vertex at n <= 10, D <= 4
+    st, ref = (cls(g.copy(), D, seed=seed, c=c) for cls in (HittingSetApsp, TwoLoopStitch))
+    assert (len(st.H) < n) == sampled
+    # columns of H that read as beyond D: paths through them must fail alike
+    bad = {st.H[x % len(st.H)] for x in overstated}
+    for apsp in (st, ref):
+        apsp.pr.column_block = _overstating(apsp.pr.column_block, bad, D)
+    for toggle in [None, *toggles]:
+        if toggle is not None:  # insert the edge when absent, else delete it
+            u, v = (x % n for x in toggle)
+            if u == v:
+                continue
+            u, v = (u, v) if directed else sorted((u, v))
+            ev = (DeleteEdge if g.has_edge(u, v) else InsertEdge)(u, v)
+            for apsp in (st, ref):
+                apsp.apply(ev)
+            apply_update(g, ev)
+        truth = np.array(all_pairs_dist(g))
+        mat, ref_mat = st.exact_dist_matrix(), ref.exact_dist_matrix()
+        for i in range(n):
+            for j in range(n):
+                assert st.exact_dist(i, j) == ref.exact_dist(i, j) == mat[i, j]
+                assert _path_or_failure(st, i, j) == _path_or_failure(ref, i, j)
+        assert (mat >= truth).all()
+        if not sampled:  # H = V: every stitch is exact
+            assert (mat == truth).all()
+        if not directed:  # fw is symmetric, so reading it transposed is harmless
+            assert (ref_mat == mat).all()
+    assert st.stats() == ref.stats()
+
+
+def test_directed_matrix_equals_bfs_on_chorded_cycles():
+    # 14-cycles at D = 4: the default hitting set is every vertex, so each
+    # entry is exact; the two-loop matrix understated most of them
+    understated = 0
+    for instance in range(30):
+        rng = random.Random(instance)
+        chords = []
+        while len(chords) < 4:
+            u, v = rng.sample(range(14), 2)
+            if (u, v) not in chords and v != (u + 1) % 14:
+                chords.append((u, v))
+        g = chorded_cycle(14, True, chords)
+        st = HittingSetApsp(g.copy(), 4, seed=instance)
+        assert st.H == list(range(14))
+        truth = np.array(all_pairs_dist(g))
+        assert (st.exact_dist_matrix() == truth).all()
+        understated += int((TwoLoopStitch(g.copy(), 4, seed=instance).exact_dist_matrix() < truth).sum())
+    assert understated > 0

@@ -117,6 +117,20 @@ def test_bench_csv_shape(tmp_path):
     assert lines[2].startswith("update,") and lines[3].startswith("query,")
 
 
+@pytest.mark.parametrize("structure", ["spanner-comb", "spanner-alg", "steiner"])
+def test_bench_counts_only_the_queries_a_structure_answers(tmp_path, structure):
+    # these structures report no paths: their QP lines are not queries
+    script = gen_random(tmp_path, updates=5)
+    lines = script.read_text().splitlines()
+    assert any(line.startswith("QP ") for line in lines)
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--structure", structure, "--script", str(script), "--out", str(out)]
+    assert main(argv) == 0
+    query = out.read_text().splitlines()[3].split(",")
+    assert query[0] == "query"
+    assert int(query[1]) == sum(line.startswith("QD ") for line in lines)
+
+
 def test_gadget_gen_writes_script_and_sidecar(tmp_path):
     out = tmp_path / "g.txt"
     rc = main(
@@ -211,7 +225,7 @@ def test_an_inverse_past_physical_memory_is_a_usage_error(tmp_path, capsys):
     assert "bytes of physical memory" in err and not out.exists()
 
 
-@pytest.mark.parametrize("structure", ["path-reporter", "exact-apsp"])
+@pytest.mark.parametrize("structure", ["path-reporter", "exact-apsp", "approx-apsp", "steiner"])
 @pytest.mark.parametrize("kappa", ["inf", "1e308", "nan"])
 def test_kappa_without_a_finite_reset_scale_is_a_usage_error(tmp_path, capsys, structure, kappa):
     script = gen_random(tmp_path)
@@ -399,6 +413,22 @@ def test_directed_script_paths_follow_arcs(tmp_path, capsys):
         rows.append(capsys.readouterr().out.splitlines()[-5:])
     assert rows[0] == rows[1] == rows[2]
     assert rows[0][0] == "0,path,1,3,1-2-0-3,"
+
+
+@pytest.mark.parametrize("structure", ["approx-apsp", "spanner-comb", "spanner-alg", "steiner"])
+def test_a_directed_script_for_a_spanner_is_a_usage_error_before_any_output(
+    tmp_path, capsys, structure
+):
+    # dist(0, 2) lies within D: an APSP answers it without its spanner
+    script = tmp_path / "directed.txt"
+    script.write_text("N 4 1\nE 0 1\nE 1 2\nQD 0 2\n")
+    out = tmp_path / "out.csv"
+    for command in ("run", "verify", "bench"):
+        argv = [command, "--structure", structure, "--script", str(script), "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: spanners are defined for undirected graphs\n"
+        assert captured.out == "" and not out.exists()
 
 
 # counters each structure's --stats line must hold: the path-core reads

@@ -25,6 +25,11 @@ distances beyond D come from that spanner.  They were taken while
 graph.bfs_tree still found each parent in a second pass and
 level_tables redid its exact arithmetic on every call.
 
+The algebraic spanner streams pin AlgSpannerState's H and the activeness
+of every vertex after every mixed update, and the partially dynamic
+streams pin SpannerState's, decremental and incremental.  They were taken
+while AlgSpannerState still built its path core over a copy of its graph.
+
 At n = 48 the resets and full reads multiply (48, |nrows|, D+1) by
 (|nrows|, 48, D+1), a product too large for one Toeplitz block.  The
 p = 5 stream pins a prime whose entries fit in three bits, where sums
@@ -42,6 +47,7 @@ import pytest
 from dynsp import _kernels, reporter
 from dynsp._kernels import MERSENNE61
 from dynsp.apsp import ApproxApsp, HittingSetApsp
+from dynsp.estree import DECREMENTAL, INCREMENTAL
 from dynsp.graph import (
     AddTerminal,
     DeleteEdge,
@@ -55,7 +61,8 @@ from dynsp.graph import (
 )
 from dynsp.reporter import PathReporter
 from dynsp.ring import FieldParams
-from dynsp.spanner_comb import RebuildSpanner
+from dynsp.spanner_alg import AlgSpannerState
+from dynsp.spanner_comb import RebuildSpanner, SpannerState
 from dynsp.steiner import SteinerState
 
 N, D, EDGES, UPDATES = 48, 8, 72, 80  # D: the default stream's bound
@@ -334,3 +341,98 @@ def test_steiner_tree_edges_match_their_pin_after_every_event():
     stats = st.stats()
     assert stats["spanner_rebuilds"] > 0 and stats["spanner_rows"] > 0
     assert digest == STEINER_PIN
+
+
+# ---- the algebraic spanner and the partially dynamic spanners -----------------
+
+ALG_UPDATES, MODE_UPDATES = 60, 40
+
+# family: digest of AlgSpannerState's H and active after every update.  gnp
+# is the spanner-alg-gnp benchmark's shape, G(128, 512) at eps = 1, k = 2,
+# b = 5; reinit is G(30, 60) with reinit_threshold lowered to 20, so every
+# update re-initialises the levels and the path core.
+ALG_SPANNER_PINS = {
+    "gnp": "33ad54643ddb1bf3900e3e33201959bb64fe039e742a836c97b91ce643672280",
+    "reinit": "0d01f899aab9ae8b37b01d298ac3299a09ae9a978df84259a603ae967de3636d",
+}
+
+# mode: digest of SpannerState's H and active after every update, over the
+# steiner-grid benchmark's grid at eps = 1: deletions from the grid with its
+# diagonals, insertions of diagonals into the bare grid.
+MODE_SPANNER_PINS = {
+    DECREMENTAL: "519fb905e7f95d377d930c000ab8e6ce43fe2698684db9788f6e086057e1ff1a",
+    INCREMENTAL: "2e90ba56550978179d1e811b14026ea0b2bab11e7d1f6b14b47435714fcbf098",
+}
+
+
+def random_gnp(n, m, rng):
+    g = DynamicGraph(n)
+    while g.edge_count < m:
+        e = tuple(sorted(rng.sample(range(n), 2)))
+        if not g.has_edge(*e):
+            g.insert_edge(*e)
+    return g
+
+
+def active_line(active) -> bytes:
+    return ("".join("1" if active[v] else "0" for v in range(len(active))) + "\n").encode()
+
+
+def replay_alg_spanner(family):
+    """An AlgSpannerState after a fixed mixed stream, and the running
+    digest of its H and active after every update."""
+    rng = random.Random(f"digest/spanner-alg/{family}")
+    if family == "gnp":
+        g = random_gnp(128, 512, rng)
+        st = AlgSpannerState(g.copy(), 1, seed=1, k=2, b=5)
+    else:
+        g = random_gnp(30, 60, rng)
+        st = AlgSpannerState(g.copy(), 1, kappa=0.5, seed=9, k=2, b=4)
+        st.reinit_threshold = 20
+    digest = hashlib.sha256()
+    for ev, _ in zip(gnp_stream(g, rng), range(ALG_UPDATES)):
+        apply_update(g, ev)
+        h = st.alg_update(ev)
+        assert all(g.has_edge(u, v) for u, v in h)
+        digest.update(edge_line(h) + active_line(st.active))
+    return st, digest.hexdigest()
+
+
+@pytest.mark.parametrize("family", list(ALG_SPANNER_PINS))
+def test_algebraic_spanner_h_and_active_match_their_pins_after_every_update(family):
+    st, digest = replay_alg_spanner(family)
+    stats = st.stats()
+    assert stats["updates"] == ALG_UPDATES and stats["reporter_block_reads"] > 0
+    assert (stats["reinits"] == ALG_UPDATES) == (family == "reinit")
+    assert digest == ALG_SPANNER_PINS[family]
+
+
+def replay_mode_spanner(mode):
+    """A SpannerState after a fixed stream of its mode's events, and the
+    running digest of its H and active after every update."""
+    rng = random.Random(f"digest/spanner-mode/{mode}")
+    grid = grid_edges(SIDE)
+    g = graph_of(SIDE * SIDE, grid)
+    diagonals = {diagonal(SIDE, random.Random(x)) for x in range(200)}
+    if mode == DECREMENTAL:
+        for e in sorted(diagonals):
+            g.insert_edge(*e)
+    st = SpannerState(g.copy(), 1, seed=2, mode=mode)
+    digest = hashlib.sha256()
+    for _ in range(MODE_UPDATES):
+        if mode == DECREMENTAL:
+            ev = DeleteEdge(*rng.choice(sorted(g.edges())))
+        else:
+            ev = InsertEdge(*rng.choice(sorted(diagonals - set(g.edges()))))
+        apply_update(g, ev)
+        st.sp_update(ev)
+        assert all(g.has_edge(u, v) for u, v in st.H)
+        digest.update(edge_line(st.H) + active_line(st.active))
+    return st, digest.hexdigest()
+
+
+@pytest.mark.parametrize("mode", list(MODE_SPANNER_PINS))
+def test_partially_dynamic_spanner_h_and_active_match_their_pins_after_every_update(mode):
+    st, digest = replay_mode_spanner(mode)
+    assert st.H and not all(st.active.values())
+    assert digest == MODE_SPANNER_PINS[mode]
