@@ -257,7 +257,9 @@ class ApproxApsp:
         self.g = g
         self.eps = eps
         if spanner is None:
-            spanner = RebuildSpanner(g.copy(), eps / 2, derive_seed(seed, 0x5A), k=spanner_k)
+            spanner = RebuildSpanner(g, eps / 2, derive_seed(seed, 0x5A), k=spanner_k)
+        elif spanner.g is not g:  # it would never see an update
+            raise ValueError("ApproxApsp needs a spanner built over its own graph")
         self.spanner = spanner
         if D is None:
             D = min(g.n, math.ceil(2 * spanner.beta_certificate / eps))
@@ -267,8 +269,8 @@ class ApproxApsp:
         self._spanner_rows = 0
 
     def apply(self, ev) -> None:
-        self.pr.apply(ev)
-        self.spanner.apply(ev)
+        self.pr.apply(ev)  # applies ev to g, which the spanner shares
+        self.spanner.note()
         self._h_graph = None
 
     def _spanner_graph(self) -> DynamicGraph:

@@ -11,6 +11,10 @@ Subcommands:
     bench   timed replay with warmup; per-update/per-query percentiles,
             over the queries the structure answers
 
+All three replay through graph.replay, so a path query to a structure
+without path() calls nothing: run prints "none" for it, and verify and
+bench skip it.
+
 Every piece of randomness flows from the single --seed through
 counter-based splitting, so identical invocations produce byte-identical
 gen/run output.
@@ -19,10 +23,10 @@ Exit statuses:
 
     0  success (for verify: every checked answer passed)
     1  verify found a wrong answer
-    2  usage error: bad arguments, unreadable or malformed input (a
-       query or terminal vertex outside [0, n) included), an event the
-       structure does not take (a terminal event for an edge-only
-       structure), or --stats for a structure without stats()
+    2  usage error: bad arguments, a path that cannot be opened (a
+       directory included), malformed input (a query or terminal vertex
+       outside [0, n) included), an event the structure does not take (a
+       terminal event for an edge-only one), or --stats without stats()
     3  the structure failed on a valid script: the Steiner terminals
        are disconnected (steiner.Disconnected), or a randomised
        witness search failed (reporter.NoWitnessFound,
@@ -39,7 +43,6 @@ import json
 import math
 import statistics
 import sys
-import time
 from typing import Callable, NamedTuple
 
 from ._kernels import derive_seed
@@ -66,6 +69,7 @@ from .graph import (
     bfs_dist,
     graph_of,
     parse_script,
+    replay,
     serialize_script,
     validate_path,
 )
@@ -148,10 +152,6 @@ REGISTRY = {
     "bfs-oracle": Structure(lambda g, a: BfsProvider(g), _exact),
 }
 STRUCTURES = tuple(REGISTRY)
-
-
-def _path(st, u, v):
-    return st.path(u, v) if hasattr(st, "path") else None
 
 
 def _certified(got, want, certificate) -> bool:
@@ -279,33 +279,35 @@ def _load(args) -> tuple[UpdateScript, object]:
     return script, REGISTRY[args.structure].make(script.initial_graph(), args)
 
 
+def _emit(rows: list[str], out: str | None) -> None:
+    """The CSV rows as lines, to the file out or else to stdout."""
+    text = "\n".join(rows) + "\n"
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_run(args) -> int:
     script, st = _load(args)
     if args.stats and not hasattr(st, "stats"):
         raise ParamDomain(f"--stats: structure {args.structure!r} keeps no counters")
     extra = REGISTRY[args.structure].extra
     rows = [CSV_HEADER, "index,kind,u,v,answer,extra"]
-    for idx, ev in enumerate(script.events):
+    for idx, ev, ans, _ in replay(st, script.events):
         if isinstance(ev, DistQuery):
-            rows.append(f"{idx},dist,{ev.u},{ev.v},{_fmt(st.dist(ev.u, ev.v))},")
+            rows.append(f"{idx},dist,{ev.u},{ev.v},{_fmt(ans)},")
         elif isinstance(ev, PathQuery):
-            p = _path(st, ev.u, ev.v)
-            ans = "none" if p is None else "-".join(map(str, p))
-            rows.append(f"{idx},path,{ev.u},{ev.v},{ans},")
+            path = "none" if ans is None else "-".join(map(str, ans))
+            rows.append(f"{idx},path,{ev.u},{ev.v},{path},")
         elif isinstance(ev, PhaseMark):
             rows.append(f"{idx},phase,{ev.i},,,{extra(st)}")
+        elif isinstance(ev, (InsertEdge, DeleteEdge)):
+            rows.append(f"{idx},update,{ev.u},{ev.v},,{extra(st)}")
         else:
-            st.apply(ev)
-            if isinstance(ev, (InsertEdge, DeleteEdge)):
-                rows.append(f"{idx},update,{ev.u},{ev.v},,{extra(st)}")
-            else:
-                rows.append(f"{idx},terminal,{ev.v},,,{extra(st)}")
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            rows.append(f"{idx},terminal,{ev.v},,,{extra(st)}")
+    _emit(rows, args.out)
     if args.stats:
         print(json.dumps(st.stats(), sort_keys=True), file=sys.stderr)
     return 0
@@ -316,63 +318,34 @@ def cmd_verify(args) -> int:
     certificate = REGISTRY[args.structure].certificate(st)
     oracle = script.initial_graph()
     checked = 0
-    for idx, ev in enumerate(script.events):
-        if isinstance(ev, DistQuery):
-            got = st.dist(ev.u, ev.v)
-            want = bfs_dist(oracle, ev.u)[ev.v]
-            if not _certified(got, want, certificate):
-                print(
-                    f"FAIL at event {idx}: dist({ev.u},{ev.v}) = {_fmt(got)}, "
-                    f"oracle {_fmt(want)}"
-                )
-                return 1
-            checked += 1
-        elif isinstance(ev, PathQuery):
-            if hasattr(st, "path"):
-                p = st.path(ev.u, ev.v)
-                want = bfs_dist(oracle, ev.u)[ev.v]
-                if p is not None and (
-                    not validate_path(oracle, p) or p[0] != ev.u or p[-1] != ev.v
-                ):
-                    print(f"FAIL at event {idx}: invalid path {p}")
-                    return 1
-                got = INF if p is None else len(p) - 1
-                if not _certified(got, want, certificate):
-                    print(
-                        f"FAIL at event {idx}: path length {_fmt(got)}, "
-                        f"oracle {_fmt(want)}"
-                    )
-                    return 1
-                checked += 1
-        elif not isinstance(ev, PhaseMark):
-            st.apply(ev)
-            if isinstance(ev, (InsertEdge, DeleteEdge)):
-                apply_update(oracle, ev)
+    for idx, ev, ans, seconds in replay(st, script.events):
+        if isinstance(ev, (InsertEdge, DeleteEdge)):
+            apply_update(oracle, ev)
+        if seconds is None or not isinstance(ev, (DistQuery, PathQuery)):
+            continue  # only answered queries are checked
+        want = bfs_dist(oracle, ev.u)[ev.v]
+        got = ans if isinstance(ev, DistQuery) else INF if ans is None else len(ans) - 1
+        if isinstance(ev, PathQuery) and ans is not None and (
+            not validate_path(oracle, ans) or ans[0] != ev.u or ans[-1] != ev.v
+        ):
+            print(f"FAIL at event {idx}: invalid path {ans}")
+            return 1
+        if not _certified(got, want, certificate):
+            what = f"dist({ev.u},{ev.v}) =" if isinstance(ev, DistQuery) else "path length"
+            print(f"FAIL at event {idx}: {what} {_fmt(got)}, oracle {_fmt(want)}")
+            return 1
+        checked += 1
     print(f"PASS ({checked} queries checked)")
     return 0
 
 
 def cmd_bench(args) -> int:
-    with open(args.script) as fh:
-        script = parse_script(fh.read())
-
     def one_pass():
-        st = REGISTRY[args.structure].make(script.initial_graph(), args)
+        script, st = _load(args)
         up, q = [], []
-        for ev in script.events:
-            t0 = time.perf_counter()
-            if isinstance(ev, DistQuery):
-                st.dist(ev.u, ev.v)
-                q.append(time.perf_counter() - t0)
-            elif isinstance(ev, PathQuery):
-                if hasattr(st, "path"):  # as in verify, unanswered path queries are skipped
-                    st.path(ev.u, ev.v)
-                    q.append(time.perf_counter() - t0)
-            elif isinstance(ev, PhaseMark):
-                pass
-            else:
-                st.apply(ev)
-                up.append(time.perf_counter() - t0)
+        for _, ev, _, seconds in replay(st, script.events):
+            if seconds is not None:
+                (q if isinstance(ev, (DistQuery, PathQuery)) else up).append(seconds)
         return up, q
 
     one_pass()  # warmup
@@ -390,12 +363,7 @@ def cmd_bench(args) -> int:
         rows.append(
             f"{name},{len(xs)},{med:.6g},{pct(xs, 0.9):.6g},{pct(xs, 0.99):.6g}"
         )
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(rows, args.out)
     return 0
 
 
@@ -458,7 +426,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ParamDomain, FileNotFoundError, ValueError) as exc:
+    except (ParamDomain, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (Disconnected, NoWitnessFound, StitchFailure) as exc:

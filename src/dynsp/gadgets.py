@@ -20,9 +20,9 @@ advance:
 
 Expected bits are always computed by brute force at generation time
 (vector-matrix-vector product, or colorful-cycle enumeration), never
-inferred from the thresholds.  The harness replays a script against
-any provider with apply(event) and dist(u, v), scores each phase by
-the threshold rule, and reports mismatches as data.
+inferred from the thresholds.  The harness replays a script against any
+provider with apply(event) and dist(u, v) through graph.replay, scores
+each phase by the threshold rule, and reports mismatches as data.
 """
 from __future__ import annotations
 
@@ -40,6 +40,7 @@ from .graph import (
     apply_update,
     bfs_dist,
     bfs_path,
+    replay,
 )
 
 
@@ -474,12 +475,11 @@ def harness_run(gs: GadgetScript, make_provider) -> HarnessReport:
     mismatches: list[PhaseResult] = []
     last_est = math.inf
     marks = set(gs.restore_marks)
-    for pos, ev in enumerate(gs.script.events, start=1):
+    for idx, ev, ans, _ in replay(provider, gs.script.events):
         if isinstance(ev, (InsertEdge, DeleteEdge)):
             apply_update(shadow, ev)
-            provider.apply(ev)
         elif isinstance(ev, DistQuery):
-            last_est = provider.dist(ev.u, ev.v)
+            last_est = ans
         elif isinstance(ev, PhaseMark):
             phase_idx = len(phases)
             bit = int(last_est < gs.phase_thresholds[phase_idx])
@@ -490,6 +490,6 @@ def harness_run(gs: GadgetScript, make_provider) -> HarnessReport:
             phases.append(res)
             if bit != res.expected:
                 mismatches.append(res)
-        if pos in marks:
-            assert shadow.edge_hash() == baseline, "phase did not restore the graph"
+        if idx + 1 in marks and shadow.edge_hash() != baseline:
+            raise ValueError(f"restore mark after event {idx}: the graph was not restored")
     return HarnessReport(phases, mismatches, time.perf_counter() - t0)

@@ -21,6 +21,7 @@ format between gadget generators, dynamic structures, and oracles:
 from __future__ import annotations
 
 import math
+import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
@@ -376,6 +377,29 @@ def parse_script(text: str) -> UpdateScript:
             if not 0 <= v < n:
                 raise ValueError(f"line {lineno}: vertex {v} outside [0, {n}) in {raw!r}")
     return UpdateScript(n=n, directed=directed, initial_edges=initial, events=events)
+
+
+def replay(st, events) -> Iterator[tuple[int, Event, object, Optional[float]]]:
+    """Replay events against st, yielding (index, event, answer, seconds).
+
+    An edge or terminal event calls st.apply(ev), a QD st.dist(u, v) and a
+    QP st.path(u, v); answer is what the call returned, seconds its time.
+    A PH, or a QP to a structure without path(), calls nothing: both None.
+    """
+    has_path = hasattr(st, "path")
+    for idx, ev in enumerate(events):
+        if isinstance(ev, DistQuery):
+            call, args = st.dist, (ev.u, ev.v)
+        elif isinstance(ev, PathQuery) and has_path:
+            call, args = st.path, (ev.u, ev.v)
+        elif isinstance(ev, (PathQuery, PhaseMark)):
+            yield idx, ev, None, None
+            continue
+        else:
+            call, args = st.apply, (ev,)
+        t0 = time.perf_counter()
+        answer = call(*args)
+        yield idx, ev, answer, time.perf_counter() - t0
 
 
 def validate_path(g: DynamicGraph, path: list[int]) -> bool:

@@ -25,7 +25,7 @@ What an update maintains and what it recomputes:
   pass reruns only when G~ changed or the levels were resampled.  It is
   the combinatorial spanner's pass (spanner_comb.blocked_vertices) on
   G~ with the floors of c_{l,j}/4: one bounded BFS from all the
-  vertices of each level j >= 1 at once, not one per vertex.
+  vertices of each level above the lowest at once, not one per vertex.
 - H is recomputed from G~ and the per-level pairs on every update,
   because pair distances in G can change with any edge.
 

@@ -12,11 +12,11 @@ The static construction evaluates the predicate without a BFS per
 vertex.  x at level i is blocked iff for some j > i the nearest level-j
 vertex is within floor(threshold(j, i)) of x.  So one bounded BFS from
 all the level-j vertices at once, as deep as the largest such floor,
-decides every vertex that level j blocks: one BFS per level j >= 1, in
-O(n + m) each.  That pass, blocked_vertices, takes the graph, the levels
-and the floors, and the algebraic spanner (spanner_alg) decides its own
-activeness with it too.  Then one bounded BFS tree (graph.bfs_tree) per
-active vertex gives H; each tree takes its parents during its one BFS.
+decides every vertex that level j blocks: one BFS per level above the
+lowest, in O(n + m) each.  That pass, blocked_vertices, takes the graph,
+the levels and the floors, and the algebraic spanner (spanner_alg)
+decides its own activeness with it too.  Then one bounded BFS tree
+(graph.bfs_tree) per active vertex gives H; each tree takes its parents during its one BFS.
 The levels are drawn from the seed, but the radii and floors depend on
 (n, eps, k) alone, so level_tables computes them, and beta, once per
 (n, eps, k) and only samples the levels per call.
@@ -151,10 +151,11 @@ def blocked_vertices(g: DynamicGraph, level: list[int], floors) -> set[int]:
     blocker and a level-i blockee.  x at level i is blocked iff for some
     j > i the nearest level-j vertex is within floors[j][i] of x, so one
     BFS from all the level-j vertices at once, as deep as the largest
-    floor below j, decides every vertex that level j blocks.
+    floor below j, decides every vertex that level j blocks.  Passes
+    start above the lowest level, since level j blocks only levels below.
     """
     blocked: set[int] = set()
-    for j in range(1, max(level, default=0) + 1):
+    for j in range(min(level, default=0) + 1, max(level, default=0) + 1):
         sources = [a for a in range(g.n) if level[a] == j]
         reach = bfs_dist_bounded(g, sources, max(floors[j][:j]))
         blocked.update(x for x, d in reach.items() if level[x] < j and d <= floors[j][level[x]])
@@ -338,6 +339,10 @@ class RebuildSpanner:
 
     def apply(self, ev) -> None:
         apply_update(self.g, ev)
+        self.note()
+
+    def note(self) -> None:
+        """apply for an edge event that a structure sharing g applied to it."""
         self._counter += 1
         self._state = None
 

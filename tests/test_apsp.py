@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from dynsp._kernels import min_degree_arr
+from dynsp._kernels import derive_seed, min_degree_arr
 from dynsp.apsp import ApproxApsp, HittingSetApsp, StitchFailure, _capped
 from dynsp.graph import (
     DeleteEdge,
@@ -160,6 +160,22 @@ def test_approx_checks_its_own_eps_with_or_without_a_spanner(eps):
         ApproxApsp(g.copy(), eps, spanner=RebuildSpanner(g.copy(), 0.5, 0), D=4)
     with pytest.raises(ValueError, match=r"^ApproxApsp needs 0 < eps <= 2$"):
         ApproxApsp(g.copy(), eps)
+
+
+def test_approx_and_its_spanner_share_one_graph():
+    g = path_graph(8)
+    with pytest.raises(ValueError, match=r"^ApproxApsp needs a spanner built over its own graph$"):
+        ApproxApsp(g, 1, spanner=RebuildSpanner(g.copy(), 0.5, 0))
+    aa = ApproxApsp(g, 1, seed=3, D=2)
+    assert aa.spanner.g is aa.g is g
+    ref = RebuildSpanner(g.copy(), 0.5, derive_seed(3, 0x5A))
+    events = [InsertEdge(0, 7), DeleteEdge(3, 4), InsertEdge(2, 5), DeleteEdge(0, 1)]
+    for ev in events:
+        aa.apply(ev)  # a second application to g would raise IllegalUpdate
+        ref.apply(ev)
+        assert aa.spanner.edges() == ref.edges()
+    assert aa.spanner.stats()["updates"] == len(events)
+    assert sorted(g.edges()) == sorted(ref.g.edges())
 
 
 def test_spanner_backed_structures_reject_a_directed_graph_when_built():

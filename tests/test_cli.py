@@ -2,12 +2,20 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
 from dynsp.apsp import StitchFailure
-from dynsp.cli import CSV_HEADER, STRUCTURES, main
-from dynsp.gadgets import BfsProvider
+from dynsp.cli import CSV_HEADER, REGISTRY, STRUCTURES, Structure, main
+from dynsp.gadgets import BfsProvider, GadgetScript, harness_run
+from dynsp.graph import (
+    AddTerminal,
+    DeleteEdge,
+    InsertEdge,
+    RemoveTerminal,
+    parse_script,
+)
 from dynsp.reporter import NoWitnessFound
 
 
@@ -202,6 +210,24 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["gen", "kcycle", "--n", "24", "--k", "3", "--out", str(tmp_path / "kc")]) == 2
     assert capsys.readouterr().err == "error: gen kcycle needs --graph\n"
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "bench", "gen"])
+def test_a_directory_as_script_or_output_is_a_usage_error(tmp_path, capsys, command):
+    script = gen_random(tmp_path)
+    if command == "gen":
+        argvs = [["gen", "random", "--out", str(tmp_path)]]
+    else:
+        base = [command, "--structure", "bfs-oracle"]
+        argvs = [base + ["--script", str(tmp_path)]]
+        if command != "verify":  # verify writes no output file
+            argvs.append(base + ["--script", str(script), "--out", str(tmp_path)])
+    for argv in argvs:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Is a directory" in captured.err
 
 
 @pytest.mark.parametrize("command", ["run", "verify", "bench"])
@@ -486,3 +512,64 @@ def test_run_stats_on_a_structure_without_counters_exits_2(tmp_path, capsys, str
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --stats: structure {structure!r} keeps no counters\n"
+
+
+class Recorder:
+    """A structure without path() that records every call it receives;
+    BFS answers its queries, and it takes terminal events as no-ops."""
+
+    def __init__(self, g):
+        self.calls = []
+        self._bfs = BfsProvider(g)
+
+    def apply(self, ev):
+        self.calls.append(("apply", ev))
+        if isinstance(ev, (InsertEdge, DeleteEdge)):
+            self._bfs.apply(ev)
+
+    def dist(self, u, v):
+        self.calls.append(("dist", u, v))
+        return self._bfs.dist(u, v)
+
+
+class PathRecorder(Recorder):
+    def path(self, u, v):
+        self.calls.append(("path", u, v))
+        return self._bfs.path(u, v)
+
+
+EVERY_EVENT_SCRIPT = (
+    "N 5 0\nE 0 1\nE 1 2\nT+ 0\nI 2 3\nQD 0 3\nQP 0 3\nPH 0 1\n"
+    "T- 0\nD 2 3\nQD 0 3\nQP 3 0\nPH 1 0\n"
+)
+EVERY_EVENT_CALLS = [
+    ("apply", AddTerminal(0)), ("apply", InsertEdge(2, 3)), ("dist", 0, 3), ("path", 0, 3),
+    ("apply", RemoveTerminal(0)), ("apply", DeleteEdge(2, 3)), ("dist", 0, 3), ("path", 3, 0),
+]
+
+
+@pytest.mark.parametrize("recorder", [Recorder, PathRecorder])
+def test_run_verify_bench_and_the_harness_make_the_same_calls(tmp_path, monkeypatch, recorder):
+    made = []
+
+    def make(g, args=None):
+        made.append(recorder(g))
+        return made[-1]
+
+    monkeypatch.setitem(REGISTRY, "bfs-oracle", Structure(make, lambda st: (0, 0, math.inf)))
+    script = tmp_path / "every.txt"
+    script.write_text(EVERY_EVENT_SCRIPT)
+    calls = {}
+    for command in ("run", "verify", "bench"):
+        out = tmp_path / f"{command}.csv"
+        argv = [command, "--structure", "bfs-oracle", "--script", str(script)]
+        assert main(argv + ["--out", str(out)]) == 0
+        calls[command] = made[-1].calls  # for bench, the timed pass after the warmup
+    rows = (tmp_path / "run.csv").read_text().splitlines()
+    paths = [row.split(",")[4] for row in rows if ",path," in row]
+    assert paths == (["0-1-2-3", "none"] if recorder is PathRecorder else ["none", "none"])
+    gs = GadgetScript(parse_script(EVERY_EVENT_SCRIPT), [3, 3], [1, 0], (0, 3))
+    harness_run(gs, make)
+    calls["harness"] = made[-1].calls
+    want = [c for c in EVERY_EVENT_CALLS if c[0] != "path" or recorder is PathRecorder]
+    assert calls == dict.fromkeys(calls, want)

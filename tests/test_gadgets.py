@@ -7,6 +7,7 @@ import pytest
 
 from dynsp.gadgets import (
     BfsProvider,
+    GadgetScript,
     OuMvInstance,
     ParamDomain,
     gen_kcycle,
@@ -16,7 +17,14 @@ from dynsp.gadgets import (
     harness_run,
     kcycle_exists,
 )
-from dynsp.graph import DynamicGraph
+from dynsp.graph import (
+    DeleteEdge,
+    DistQuery,
+    DynamicGraph,
+    InsertEdge,
+    PhaseMark,
+    UpdateScript,
+)
 from dynsp.spanner_comb import RebuildSpanner
 
 
@@ -170,3 +178,16 @@ def test_spanner_provider_with_dominating_parameters():
     gs = gen_oumv_fully(inst, 0.5, beta)
     report = harness_run(gs, lambda g: RebuildSpanner(g, 0.5, 1, k=0))
     assert report.mismatches == []
+
+
+def test_a_restore_mark_after_an_unrestored_phase_is_a_value_error():
+    events = [
+        InsertEdge(1, 2), DistQuery(0, 2), PhaseMark(0, 1), DeleteEdge(1, 2),  # restored
+        InsertEdge(0, 2), DistQuery(0, 2), PhaseMark(1, 1),  # left in place
+    ]
+    script = UpdateScript(n=3, directed=False, initial_edges=[(0, 1)], events=events)
+    report = harness_run(GadgetScript(script, [3, 3], [1, 1], (0, 2), [4]), BfsProvider)
+    assert report.bits == [1, 1]
+    gs = GadgetScript(script, [3, 3], [1, 1], (0, 2), [4, 7])
+    with pytest.raises(ValueError, match=r"^restore mark after event 6: the graph was not restored"):
+        harness_run(gs, BfsProvider)

@@ -502,6 +502,39 @@ def test_budgeted_activeness_on_a_path_stops_at_the_floor():
     assert active == spanner_bfs_active(st)
 
 
+def blocked_from_every_level(g, levels, floors) -> set[int]:
+    """blocked_vertices with a pass from every level above 0, also those
+    at or below the lowest level, which can block nobody (the reference
+    for skipping them)."""
+    blocked = set()
+    for j in range(1, max(levels, default=0) + 1):
+        sources = [a for a in range(g.n) if levels[a] == j]
+        reach = bfs_dist_bounded(g, sources, max(floors[j][:j]))
+        blocked.update(x for x, d in reach.items() if levels[x] < j and d <= floors[j][levels[x]])
+    return blocked
+
+
+@given(case=leveled_graphs(), data=hst.data())
+@settings(max_examples=150, deadline=None)
+def test_blocked_vertices_skips_the_levels_that_can_block_nobody(case, data):
+    g, k, _eps, levels, floors = case
+    lowest = data.draw(hst.integers(0, k))  # raise the lowest level, as on steiner-grid
+    levels = [max(lowest, level) for level in levels]
+    passes = []
+
+    def recording(g, sources, radius):
+        passes.append(list(sources))
+        return bfs_dist_bounded(g, sources, radius)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spanner_comb, "bfs_dist_bounded", recording)
+        blocked = blocked_vertices(g, levels, floors)
+    assert blocked == blocked_from_every_level(g, levels, floors)
+    # one pass per level above the lowest, none from the lowest or below
+    assert len(passes) == max(levels) - min(levels)
+    assert all(levels[a] > min(levels) for sources in passes for a in sources)
+
+
 @given(
     n=hst.integers(2, 80),
     chords=hst.integers(0, 10),

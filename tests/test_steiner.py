@@ -279,10 +279,11 @@ def _steiner_pair(g, terminals, seed):
         g.copy(), terminals, eps=1, seed=seed,
         provider=ApproxApsp(g.copy(), 0.5, seed=seed, D=3, spanner_k=2),
     )
-    spanner = _BfsActiveSpanner(g.copy(), 0.25, derive_seed(seed, 0x5A), k=2)
+    ref_g = g.copy()
+    spanner = _BfsActiveSpanner(ref_g, 0.25, derive_seed(seed, 0x5A), k=2)
     ref = SteinerState(
-        g.copy(), terminals, eps=1, seed=seed,
-        provider=PerPairPaths(g.copy(), 0.5, seed=seed, spanner=spanner, D=3),
+        ref_g, terminals, eps=1, seed=seed,
+        provider=PerPairPaths(ref_g, 0.5, seed=seed, spanner=spanner, D=3),
     )
     return st, ref
 
